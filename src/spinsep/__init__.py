@@ -1,8 +1,8 @@
 """spinsep: reduced spin states of spatially separated identical particles.
 
 Builds symmetric or antisymmetric states of n particles with interleaved
-spatial and spin degrees of freedom, extracts spin-only reduced states
-through localized probes, and provides the diagnostics (entanglement
+spatial and spin degrees of freedom, extracts the spin-only reduced states
+measured in spatial regions, and provides the diagnostics (entanglement
 measures, symmetry classification, subalgebra commutation) needed to study
 how spatial separation erases exchange statistics.
 """
@@ -51,7 +51,6 @@ from .states import (
     SubspaceState,
     SuperpositionTerm,
     ZeroStateError,
-    localized_factor,
     n_particle_localized,
     subspace_state,
     superposition_state,
@@ -101,7 +100,6 @@ __all__ = [
     "lift_one_particle",
     "lift_product",
     "local_generator",
-    "localized_factor",
     "mode_wavefunction",
     "n_particle_localized",
     "negativity",

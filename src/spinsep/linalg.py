@@ -120,13 +120,6 @@ def _check_permutation(perm: Sequence[int], k: int) -> tuple[int, ...]:
     return perm
 
 
-def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
 def permute_factors(arr, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors of a vector or square operator.
 
@@ -137,7 +130,7 @@ def permute_factors(arr, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
     dims = tuple(int(d) for d in dims)
     k = len(dims)
     perm = _check_permutation(perm, k)
-    inv = _inverse(perm)
+    inv = np.argsort(perm)
     total = _prod(dims)
     arr = np.asarray(arr, dtype=complex)
     if arr.ndim == 1:

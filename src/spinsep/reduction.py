@@ -1,19 +1,23 @@
 """Extraction of spin-only reduced states.
 
-The central operation probes a global n-particle state with lifted products
-of region projectors and spin matrix units.  Because the matrix units form an
-operator basis, those expectation values determine a unique spin-space matrix:
-entry (j, i) of the result is the expectation of the lifted product whose k-th
-slot is ``P_k x E_{i_k j_k}``.  For pairwise disjoint, fully localizing
-regions the result is a genuine density matrix with trace equal to the joint
-localization probability; for overlapping regions the same sweep still runs
-and the diagnostics (trace, Hermiticity defect, minimum eigenvalue) report
-how the construction degrades.
+The central operation measures a global n-particle state in n spatial
+regions and keeps only the spins.  Statistics enter solely through the sum
+over permutations sigma of S_n:
+
+    R = sum_sigma Perm_sigma( tr_modes[ (P_sigma(0) x 1) ... (P_sigma(n-1) x 1) rho ] ),
+
+one mode trace restricted to the regions in the order sigma assigns them,
+followed by a permutation of the n spin factors.  Entry (j, i) of ``R`` is
+the expectation of the lifted product whose k-th slot is ``P_k x E_{i_k j_k}``.
+For pairwise disjoint, fully localizing regions the result is a genuine
+density matrix with trace equal to the joint localization probability; for
+overlapping regions the same formula still applies and the diagnostics
+(trace, Hermiticity defect, minimum eigenvalue) report how the construction
+degrades.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -25,9 +29,9 @@ from .linalg import (
     frob,
     identity,
     kron,
-    matrix_unit,
     nth_root_dim,
     partial_trace,
+    permute_factors,
 )
 from .lift import lift_product
 from .spatial import SpaceSpec, SpatialRegion, overlap, projector
@@ -48,7 +52,7 @@ EIG_FLOOR = -1e-10
 
 @dataclass(frozen=True, eq=False)
 class RawReduced:
-    """Un-normalized probe-extracted spin matrix plus diagnostics."""
+    """Un-normalized reduced spin matrix plus diagnostics."""
 
     matrix: np.ndarray
     trace: float
@@ -70,26 +74,19 @@ class SymmetryVerdict(NamedTuple):
     symmetric_defect: float
 
 
-def _product_trace(rho_tensor: np.ndarray, mats: Sequence[np.ndarray]) -> complex:
-    """tr(rho . (mats[0] x ... x mats[n-1])) without forming the big product."""
-    n = len(mats)
-    args: list = [rho_tensor, list(range(2 * n))]
-    for k, m in enumerate(mats):
-        args.extend([m, [n + k, k]])
-    args.append([])
-    return complex(np.einsum(*args, optimize=True))
-
-
 def reduced_spin_probe(
     rho,
     regions: Sequence[SpatialRegion],
     spin_dim: int,
     num_modes: int | None = None,
 ) -> RawReduced:
-    """Reduced spin matrix of ``rho`` measured through localized probes.
+    """Reduced spin matrix of ``rho`` measured in the given regions.
 
     ``rho`` acts on the interleaved n-particle space; ``regions`` assigns one
-    spatial region per measurement slot.  Linear in ``rho``.
+    spatial region per measurement slot.  For each permutation sigma one
+    contraction traces the modes of particle k over region sigma(k), and the
+    spin factors of that partial result are permuted by sigma before they
+    are summed.  Linear in ``rho``.
     """
     rho = as_matrix(rho)
     n = len(regions)
@@ -107,32 +104,24 @@ def reduced_spin_probe(
     if num_modes * spin_dim != one_dim:
         raise ValueError("mode count and spin dimension do not match the state")
 
-    projs = [projector(r, num_modes) for r in regions]
-    rho_tensor = rho.reshape((one_dim,) * (2 * n))
-    perms = enumerate_sn(n)
+    masks = [np.diag(projector(r, num_modes)) for r in regions]
+    rho_tensor = rho.reshape((num_modes, spin_dim) * (2 * n))
+    # labels: mode of particle k -> k, row spin -> n + k, column spin -> 2n + k;
+    # the mode label repeats on both sides, so each mode index is traced
+    rho_labels = [lab for k in range(n) for lab in (k, n + k)]
+    rho_labels += [lab for k in range(n) for lab in (k, 2 * n + k)]
     spin_total = spin_dim**n
+    spin_dims = (spin_dim,) * n
     reduced = np.zeros((spin_total, spin_total), dtype=complex)
-
-    for ket in itertools.product(range(spin_dim), repeat=n):
-        for bra in itertools.product(range(spin_dim), repeat=n):
-            slots = [
-                kron(projs[k], matrix_unit(spin_dim, ket[k], bra[k])) for k in range(n)
-            ]
-            value = 0.0 + 0.0j
-            for perm in perms:
-                value += _product_trace(rho_tensor, [slots[perm[k]] for k in range(n)])
-            row = _flatten_index(bra, spin_dim)
-            col = _flatten_index(ket, spin_dim)
-            reduced[row, col] = value
+    for perm in enumerate_sn(n):
+        args: list = [rho_tensor, rho_labels]
+        for k in range(n):
+            args.extend([masks[perm[k]], [k]])
+        args.append(list(range(n, 3 * n)))
+        slot = np.einsum(*args).reshape(spin_total, spin_total)
+        reduced += permute_factors(slot, spin_dims, perm)
 
     return _with_diagnostics(reduced)
-
-
-def _flatten_index(multi: Sequence[int], dim: int) -> int:
-    idx = 0
-    for digit in multi:
-        idx = idx * dim + digit
-    return idx
 
 
 def _with_diagnostics(matrix: np.ndarray) -> RawReduced:

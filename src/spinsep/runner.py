@@ -40,6 +40,7 @@ from .scenario import (
     decode_matrix,
     decode_vector,
     encode_matrix,
+    is_integer,
     load_scenario,
 )
 from .spatial import SpatialRegion, Wavefunction, projector, wavefunction
@@ -92,8 +93,10 @@ def _factor_from_spec(obj, scenario: Scenario, where: str) -> LocalizedFactor:
         raise ScenarioValidationError(f"{where}.spin: wrong dimension")
     if "mode" in obj:
         mode = obj["mode"]
-        if not isinstance(mode, int) or not 0 <= mode < scenario.space.num_modes:
-            raise ScenarioValidationError(f"{where}.mode: out of range")
+        if not (is_integer(mode) and 0 <= mode < scenario.space.num_modes):
+            raise ScenarioValidationError(
+                f"{where}.mode: expected a mode index in [0, {scenario.space.num_modes})"
+            )
         amps = np.zeros(scenario.space.num_modes, dtype=complex)
         amps[mode] = 1.0
         support = SpatialRegion([mode])
@@ -209,7 +212,7 @@ def build_state(scenario: Scenario):
             vec, raw_norm = embed_mixed(target, r1, r2, parity, space.num_modes)
         elif kind == "embed_random":
             rank = spec_obj.get("rank", space.spin_dim**2)
-            if not (isinstance(rank, int) and 1 <= rank <= space.spin_dim**2):
+            if not (is_integer(rank) and 1 <= rank <= space.spin_dim**2):
                 raise ScenarioValidationError("state.rank: out of range")
             rng = np.random.default_rng(scenario.seed)
             dim = space.spin_dim**2
@@ -270,12 +273,6 @@ def _run_spatial_trace(scenario: Scenario, rho: np.ndarray) -> dict:
     }
 
 
-def _decode_report_matrix(encoded) -> np.ndarray:
-    return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in encoded]
-    )
-
-
 def _run_entanglement(scenario: Scenario, results: dict, opts: dict) -> dict:
     space = scenario.space
     source = opts.get("source")
@@ -287,7 +284,7 @@ def _run_entanglement(scenario: Scenario, results: dict, opts: dict) -> dict:
     encoded = entry.get("normalized") if source == "reduction" else entry.get("matrix")
     if encoded is None:
         raise ConstructionError("no normalized reduced state available")
-    rho = _decode_report_matrix(encoded)
+    rho = decode_matrix(encoded, f"results.{source}")
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-8:
         rho = rho / trace
@@ -339,7 +336,7 @@ def _run_overlap_sweep(scenario: Scenario, opts: dict) -> tuple[dict, list[str]]
     if space.spin_dim < 2:
         raise ScenarioValidationError("overlap_sweep: needs at least two spin levels")
     steps = opts.get("steps", 21)
-    if not (isinstance(steps, int) and steps >= 2):
+    if not (is_integer(steps) and steps >= 2):
         raise ScenarioValidationError("overlap_sweep.steps: expected an integer >= 2")
     region1 = scenario.region(opts.get("region_1", scenario.region_names[0]))
     region2 = scenario.region(opts.get("region_2", scenario.region_names[1]))
@@ -475,14 +472,14 @@ def compare_expectations(report: dict, scenario: Scenario, default_tol: float) -
                 if entry["normalized"] is None:
                     fail("reduced_matrix: no normalized reduced state")
                 else:
-                    got = _decode_report_matrix(entry["normalized"])
+                    got = decode_matrix(entry["normalized"], "results.reduction.normalized")
                     want = decode_matrix(wanted, "expectations.reduced_matrix")
                     if frob(got - want) > tol:
                         fail(f"reduced_matrix: deviation {frob(got - want):.3e} > {tol}")
         elif key == "spatial_trace_matrix":
             entry = get("spatial_trace")
             if entry:
-                got = _decode_report_matrix(entry["matrix"])
+                got = decode_matrix(entry["matrix"], "results.spatial_trace.matrix")
                 want = decode_matrix(wanted, "expectations.spatial_trace_matrix")
                 if frob(got - want) > tol:
                     fail(f"spatial_trace_matrix: deviation {frob(got - want):.3e} > {tol}")
@@ -605,6 +602,8 @@ def run_scenario_file(
 
     try:
         outcome = execute_scenario(scenario)
+        if scenario.expectations:
+            outcome.failures.extend(compare_expectations(outcome.report, scenario, tolerance))
     except ScenarioValidationError as exc:
         echo(f"validation error: {exc}")
         return EXIT_VALIDATION
@@ -612,8 +611,6 @@ def run_scenario_file(
         echo(f"construction error: {exc}")
         return EXIT_CONSTRUCTION
 
-    if scenario.expectations:
-        outcome.failures.extend(compare_expectations(outcome.report, scenario, tolerance))
     write_outcome(outcome, Path(out_dir))
     if fmt == "json":
         echo(report_json(outcome.report).rstrip("\n"))
@@ -658,6 +655,7 @@ def run_suite(
             continue
         try:
             outcome = execute_scenario(scenario)
+            outcome.failures.extend(compare_expectations(outcome.report, scenario, tolerance))
         except ScenarioValidationError as exc:
             rows.append((scenario.name, "ERROR", f"validation: {exc}"))
             worst = max(worst, EXIT_VALIDATION)
@@ -666,7 +664,6 @@ def run_suite(
             rows.append((scenario.name, "ERROR", f"construction: {exc}"))
             worst = max(worst, EXIT_CONSTRUCTION)
             continue
-        outcome.failures.extend(compare_expectations(outcome.report, scenario, tolerance))
         write_outcome(outcome, Path(out_dir))
         if outcome.failures:
             rows.append((scenario.name, "FAIL", "; ".join(outcome.failures)))

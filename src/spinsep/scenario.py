@@ -19,6 +19,7 @@ are accepted as reals); matrices are row-major nested arrays of entries.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,16 +81,32 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _MAX_SEED = 2**64 - 1
 
 
+def is_integer(value) -> bool:
+    """Whether a decoded JSON value is an integer (``true``/``false`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_real(value) -> float | None:
+    """A decoded JSON number as a finite float, or None for anything else
+    (booleans, NaN, infinities, integers too large for a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def decode_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise ScenarioValidationError(f"{where}: expected a number or [re, im] pair")
+    real = _finite_real(value)
+    if real is not None:
+        return complex(real)
+    if isinstance(value, list) and len(value) == 2:
+        parts = [_finite_real(x) for x in value]
+        if None not in parts:
+            return complex(parts[0], parts[1])
+    raise ScenarioValidationError(f"{where}: expected a finite number or [re, im] pair")
 
 
 def decode_vector(value, where: str) -> np.ndarray:
@@ -117,10 +134,6 @@ def encode_matrix(mat: np.ndarray) -> list[list[list[float]]]:
     return [[encode_complex(entry) for entry in row] for row in mat]
 
 
-def encode_vector(vec: np.ndarray) -> list[list[float]]:
-    return [encode_complex(entry) for entry in np.asarray(vec, dtype=complex)]
-
-
 @dataclass
 class Scenario:
     name: str
@@ -141,9 +154,6 @@ class Scenario:
         except KeyError:
             raise ScenarioValidationError(f"unknown region {name!r}") from None
 
-    def ordered_regions(self) -> list[SpatialRegion]:
-        return [self.regions[n] for n in self.region_names]
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -153,7 +163,7 @@ def _require(condition: bool, message: str) -> None:
 def _positive_int(obj, key: str, where: str) -> int:
     value = obj.get(key)
     _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+        is_integer(value) and value >= 1,
         f"{where}.{key}: expected a positive integer",
     )
     return value
@@ -195,7 +205,7 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         _require(rname not in regions, f"{where}.name: duplicate region {rname!r}")
         modes = entry.get("modes")
         _require(
-            isinstance(modes, list) and modes and all(isinstance(m, int) for m in modes),
+            isinstance(modes, list) and modes and all(is_integer(m) for m in modes),
             f"{where}.modes: expected a nonempty array of mode indices",
         )
         _require(
@@ -208,17 +218,16 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
     seed = obj.get("seed")
     if seed is not None:
         _require(
-            isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed <= _MAX_SEED,
+            is_integer(seed) and 0 <= seed <= _MAX_SEED,
             "seed: expected a 64-bit unsigned integer",
         )
 
     tolerance = obj.get("tolerance")
     if tolerance is not None:
+        tolerance = _finite_real(tolerance)
         _require(
-            isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool) and tolerance > 0,
-            "tolerance: expected a positive number",
+            tolerance is not None and tolerance > 0, "tolerance: expected a positive number"
         )
-        tolerance = float(tolerance)
 
     state_spec = obj.get("state")
     if state_spec is not None:

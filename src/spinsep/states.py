@@ -49,14 +49,6 @@ class LocalizedFactor:
         return kron(self.wavefunction.amplitudes, self.spin)
 
 
-def localized_factor(wavefunction: Wavefunction, spin) -> LocalizedFactor:
-    spin = as_vector(spin)
-    norm = float(np.linalg.norm(spin))
-    if norm < ZERO_TOL:
-        raise ValueError("spin vector must be nonzero")
-    return LocalizedFactor(wavefunction, spin / norm)
-
-
 @dataclass(frozen=True, eq=False)
 class SuperpositionTerm:
     """One bracket of a two-particle superposition, with an optional weight."""
@@ -97,11 +89,7 @@ def two_particle_localized(
     """The (anti)symmetrized product of two localized one-particle factors,
     with its 1/sqrt(2) prefactor; exactly normalized already when the two
     spatial wavefunctions have disjoint support."""
-    _check_pair_dims(a, b)
-    va, vb = a.vector(), b.vector()
-    sign = 1.0 if parity is Parity.BOSE else -1.0
-    raw = (kron(va, vb) + sign * kron(vb, va)) / math.sqrt(2.0)
-    return _finalize(raw)
+    return n_particle_localized([a, b], parity)
 
 
 def superposition_state(terms: Sequence[SuperpositionTerm], parity: Parity) -> BuiltState:

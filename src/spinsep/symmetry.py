@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import frob, nth_root_dim
+from .linalg import frob, nth_root_dim, permute_factors
 
 MAX_PARTICLES = 6
 
@@ -119,12 +119,21 @@ def is_exchangeable(op, n: int, dim: int, tol: float = 1e-10) -> Exchangeability
 
 def exchange_character(vec, n: int, dim: int | None = None, tol: float = 1e-10) -> str:
     """Classify a vector in (C^dim)^n as antisymmetric, symmetric, or neither,
-    according to which symmetrizer fixes it."""
+    according to which symmetrizer fixes it.  Each symmetrizer is applied as
+    the phase-weighted average of the n! factor permutations of ``vec``."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if dim is None:
         dim = nth_root_dim(vec.size, n)
-    if frob(symmetrizer(n, dim, Parity.FERMI) @ vec - vec) <= tol:
+    dims = (dim,) * n
+    fermi = np.zeros_like(vec)
+    bose = np.zeros_like(vec)
+    for perm in enumerate_sn(n):
+        moved = permute_factors(vec, dims, perm)
+        fermi += perm_sign(perm) * moved
+        bose += moved
+    count = math.factorial(n)
+    if frob(fermi / count - vec) <= tol:
         return ANTISYMMETRIC
-    if frob(symmetrizer(n, dim, Parity.BOSE) @ vec - vec) <= tol:
+    if frob(bose / count - vec) <= tol:
         return SYMMETRIC
     return NO_SYMMETRY

@@ -150,3 +150,49 @@ def rand_projection(rng, n, rank):
     q, _ = np.linalg.qr(rand_matrix(rng, n))
     basis = q[:, :rank]
     return basis @ basis.conj().T
+
+
+def reduced_spin_by_matrix_units(rho, regions, spin_dim, num_modes):
+    """Reduced spin matrix entry by entry: entry (bra, ket) is the sum over
+    slot permutations of tr(rho . (x_k P_{sigma(k)} x E_{ket, bra})), one
+    contraction per matrix unit and permutation.  ``regions`` are objects
+    with a ``modes`` collection, one per particle."""
+    rho = np.asarray(rho, dtype=complex)
+    n = len(regions)
+    one_dim = num_modes * spin_dim
+    projs = []
+    for region in regions:
+        proj = np.zeros((num_modes, num_modes), dtype=complex)
+        for m in region.modes:
+            proj[m, m] = 1.0
+        projs.append(proj)
+
+    def unit(row, col):
+        mat = np.zeros((spin_dim, spin_dim), dtype=complex)
+        mat[row, col] = 1.0
+        return mat
+
+    def product_trace(rho_tensor, mats):
+        args = [rho_tensor, list(range(2 * n))]
+        for k, m in enumerate(mats):
+            args.extend([m, [n + k, k]])
+        args.append([])
+        return complex(np.einsum(*args, optimize=True))
+
+    def flatten(multi):
+        idx = 0
+        for digit in multi:
+            idx = idx * spin_dim + digit
+        return idx
+
+    rho_tensor = rho.reshape((one_dim,) * (2 * n))
+    spin_total = spin_dim**n
+    reduced = np.zeros((spin_total, spin_total), dtype=complex)
+    for ket in itertools.product(range(spin_dim), repeat=n):
+        for bra in itertools.product(range(spin_dim), repeat=n):
+            slots = [np.kron(projs[k], unit(ket[k], bra[k])) for k in range(n)]
+            value = 0.0 + 0.0j
+            for perm in itertools.permutations(range(n)):
+                value += product_trace(rho_tensor, [slots[perm[k]] for k in range(n)])
+            reduced[flatten(bra), flatten(ket)] = value
+    return reduced

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,25 @@ def test_complex_and_matrix_round_trip():
         decode_complex([1, 2, 3], "x")
     mat = np.array([[1 + 2j, 0], [0.5j, -1]])
     assert np.array_equal(decode_matrix(encode_matrix(mat), "m"), mat)
+    for bad in (True, math.nan, math.inf, [0, -math.inf], [False, 1], 10**400):
+        with pytest.raises(ScenarioValidationError, match="finite number"):
+            decode_complex(bad, "x")
+
+
+def test_parse_scenario_rejects_booleans_and_non_finite_numbers():
+    with pytest.raises(ScenarioValidationError, match="regions\\[0\\].modes"):
+        parse_scenario(
+            _minimal_scenario(
+                regions=[
+                    {"name": "left", "modes": [True]},
+                    {"name": "right", "modes": [1]},
+                ]
+            )
+        )
+    with pytest.raises(ScenarioValidationError, match="space.particles"):
+        parse_scenario(_minimal_scenario(space={"modes": 2, "spin_levels": 2, "particles": True}))
+    with pytest.raises(ScenarioValidationError, match="tolerance"):
+        parse_scenario(_minimal_scenario(tolerance=math.inf))
 
 
 def test_parse_scenario_diagnostics_name_offending_field():
@@ -111,6 +131,28 @@ def test_run_scenario_exit_codes(tmp_path):
     path = tmp_path / "excluded.json"
     path.write_text(json.dumps(excluded), encoding="utf-8")
     assert run_scenario_file(path, out_dir=tmp_path, echo=lambda *a: None) == EXIT_CONSTRUCTION
+
+    # a boolean mode index and a NaN spin entry fail validation, naming the field
+    claim = json.loads((CLAIMS_DIR / "two_fermions_disjoint.json").read_text(encoding="utf-8"))
+    for field, value in (("mode", True), ("spin", [math.nan, 0])):
+        malformed = json.loads(json.dumps(claim))
+        malformed["state"]["factors"][0][field] = value
+        path = tmp_path / f"malformed_{field}.json"
+        path.write_text(json.dumps(malformed), encoding="utf-8")
+        lines = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_scenario_file(path, out_dir=tmp_path, echo=lines.append)
+        assert code == EXIT_VALIDATION
+        assert f"state.factors[0].{field}" in lines[0]
+
+    # expectations are decoded after the analyses run and fail validation too
+    claim["expectations"]["reduced_matrix"] = [[math.nan] * 4] * 4
+    path = tmp_path / "malformed_expectation.json"
+    path.write_text(json.dumps(claim), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert "expectations.reduced_matrix" in lines[0]
 
 
 def test_run_scenario_writes_report_sidecar(tmp_path):
