@@ -34,12 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default tolerance for expectation checks (default 1e-10)",
     )
     common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="stdout format; a JSON report sidecar is always written",
-    )
-    common.add_argument(
         "--out-dir",
         default=".",
         help="directory for report JSON and sweep CSV files (default '.')",
@@ -56,6 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_cmd = sub.add_parser("run", parents=[common], help="run a single scenario file")
     run_cmd.add_argument("scenario", help="path to a scenario JSON file")
+    run_cmd.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="stdout format; a JSON report sidecar is always written",
+    )
 
     suite_cmd = sub.add_parser(
         "suite",

@@ -1,4 +1,5 @@
-"""Declarative scenario files: parsing, validation, and JSON value helpers.
+"""Declarative scenario files: parsing, validation, JSON value helpers, and the
+registry of state kinds, analyses and expectations.
 
 A scenario is a JSON object with the keys
 
@@ -6,14 +7,18 @@ A scenario is a JSON object with the keys
 * ``space``: ``{"modes": d_l, "spin_levels": d_h, "particles": n}``,
 * ``parity``: ``"fermi"`` or ``"bose"`` (required when a state is built),
 * ``regions``: ordered list of ``{"name": ..., "modes": [...]}``,
-* ``state``: optional state specification (see ``STATE_KINDS``),
-* ``analyses``: nonempty list of analysis names or option objects,
+* ``state``: optional state specification (see ``STATES``),
+* ``analyses``: nonempty list of names or option objects (see ``ANALYSES``),
 * ``seed``: 64-bit integer, required iff the scenario draws random data,
 * ``tolerance``: optional override for expectation comparisons,
-* ``expectations``: optional values the suite runner checks reports against.
+* ``expectations``: optional values the suite runner checks reports against
+  (see ``EXPECTATIONS``).
 
 Complex numbers are written as two-element ``[re, im]`` arrays (plain numbers
 are accepted as reals); matrices are row-major nested arrays of entries.
+
+The registry functions call library code by module-global name, never through
+a stored reference, so wrappers installed on module globals see every call.
 """
 
 from __future__ import annotations
@@ -23,12 +28,47 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from .spatial import SpaceSpec, SpatialRegion
-from .symmetry import Parity
+from .algebra import bipartition_check
+from .embedding import embed_mixed, embed_pure
+from .entanglement import (
+    ENTANGLED,
+    PPT_INCONCLUSIVE,
+    SEPARABLE,
+    negativity,
+    ppt_classification,
+    schmidt,
+    von_neumann_entropy,
+)
+from .linalg import frob, normalize
+from .reduction import (
+    PROBE_PARTICLE_CAP,
+    classify_symmetry,
+    reduced_spin_probe,
+    reduction_report,
+    trace_out_spatial,
+)
+from .spatial import (
+    SpaceSpec,
+    SpatialRegion,
+    Wavefunction,
+    mode_wavefunction,
+    projector,
+    wavefunction,
+)
+from .states import (
+    LocalizedFactor,
+    SubspaceKind,
+    SuperpositionTerm,
+    n_particle_localized,
+    subspace_state,
+    superposition_state,
+    two_particle_localized,
+)
+from .symmetry import ANTISYMMETRIC, MAX_PARTICLES, NO_SYMMETRY, SYMMETRIC, Parity
 
 
 class ScenarioError(Exception):
@@ -43,42 +83,13 @@ class ScenarioValidationError(ScenarioError):
     pass
 
 
-STATE_KINDS = {
-    "localized",
-    "superposition",
-    "shared_spatial",
-    "symmetric_spatial",
-    "antisymmetric_spatial",
-    "embed_pure",
-    "embed_mixed",
-    "embed_random",
-}
+class ConstructionError(Exception):
+    """State or analysis construction failed (e.g. exclusion-principle zero)."""
 
-ANALYSIS_KINDS = {"reduction", "spatial_trace", "entanglement", "algebra", "overlap_sweep"}
-
-RANDOM_STATE_KINDS = {"embed_random"}
-
-# subspace kinds fix their own projections; the rest need exchange statistics
-PARITY_STATE_KINDS = {"localized", "superposition", "embed_pure", "embed_mixed", "embed_random"}
-
-EXPECTATION_KEYS = {
-    "raw_trace",
-    "reduced_matrix",
-    "spatial_trace_matrix",
-    "symmetry_class",
-    "statistics",
-    "raw_norm",
-    "negativity",
-    "entropy_bits",
-    "purity",
-    "separability",
-    "separable",
-    "commutes",
-    "min_eigenvalue_at_least",
-}
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _MAX_SEED = 2**64 - 1
+SWEEP_CSV_HEADER = "overlap,trace,min_eig,negativity,entropy"
 
 
 def is_integer(value) -> bool:
@@ -125,13 +136,9 @@ def decode_matrix(value, where: str) -> np.ndarray:
     return np.vstack(rows)
 
 
-def encode_complex(value: complex) -> list[float]:
-    return [float(np.real(value)), float(np.imag(value))]
-
-
 def encode_matrix(mat: np.ndarray) -> list[list[list[float]]]:
     mat = np.asarray(mat, dtype=complex)
-    return [[encode_complex(entry) for entry in row] for row in mat]
+    return [[[float(np.real(entry)), float(np.imag(entry))] for entry in row] for row in mat]
 
 
 @dataclass
@@ -145,14 +152,13 @@ class Scenario:
     analyses: list[dict]
     seed: int | None
     tolerance: float | None
-    expectations: dict
+    expectations: dict  # key -> value validated (matrices decoded) by its EXPECTATIONS entry
     raw: dict = field(repr=False)
 
     def region(self, name: str) -> SpatialRegion:
-        try:
+        if isinstance(name, str) and name in self.regions:
             return self.regions[name]
-        except KeyError:
-            raise ScenarioValidationError(f"unknown region {name!r}") from None
+        raise ScenarioValidationError(f"unknown region {name!r}")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -160,13 +166,440 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioValidationError(message)
 
 
+def _registered(table: dict, name, where: str):
+    _require(isinstance(name, str) and name in table, f"{where}: expected one of {sorted(table)}")
+    return table[name]
+
+
 def _positive_int(obj, key: str, where: str) -> int:
     value = obj.get(key)
-    _require(
-        is_integer(value) and value >= 1,
-        f"{where}.{key}: expected a positive integer",
-    )
+    _require(is_integer(value) and value >= 1, f"{where}.{key}: expected a positive integer")
     return value
+
+
+# ---------------------------------------------------------------- state kinds
+
+
+def _factor_from_spec(obj, scenario: Scenario, where: str) -> LocalizedFactor:
+    _require(isinstance(obj, dict), f"{where}: expected an object")
+    spin = obj.get("spin")
+    _require(spin is not None, f"{where}.spin: required")
+    spin_vec = decode_vector(spin, f"{where}.spin")
+    _require(spin_vec.size == scenario.space.spin_dim, f"{where}.spin: wrong dimension")
+    norm = float(np.linalg.norm(spin_vec))
+    if norm < 1e-12:
+        raise ScenarioValidationError(f"{where}.spin: zero vector")
+    num_modes = scenario.space.num_modes
+    if "mode" in obj:
+        mode = obj["mode"]
+        _require(
+            is_integer(mode) and 0 <= mode < num_modes,
+            f"{where}.mode: expected a mode index in [0, {num_modes})",
+        )
+        wave = mode_wavefunction(mode, num_modes)
+    elif "amplitudes" in obj:
+        amps = decode_vector(obj["amplitudes"], f"{where}.amplitudes")
+        _require(amps.size == num_modes, f"{where}.amplitudes: wrong dimension")
+        wave = wavefunction(amps, scenario.region(obj["support"]) if "support" in obj else None)
+    else:
+        raise ScenarioValidationError(f"{where}: needs 'mode' or 'amplitudes'")
+    return LocalizedFactor(wave, spin_vec / norm)
+
+
+def _embed_regions(scenario: Scenario, spec: dict) -> tuple[SpatialRegion, SpatialRegion]:
+    names = spec.get("regions", scenario.region_names[:2])
+    _require(
+        isinstance(names, list) and len(names) == 2, "state.regions: expected two region names"
+    )
+    return scenario.region(names[0]), scenario.region(names[1])
+
+
+def _build_localized(scenario: Scenario, spec: dict):
+    factors = spec.get("factors")
+    _require(
+        isinstance(factors, list) and len(factors) == scenario.space.particles,
+        "state.factors: expected one factor per particle",
+    )
+    return n_particle_localized(
+        [_factor_from_spec(f, scenario, f"state.factors[{k}]") for k, f in enumerate(factors)],
+        scenario.parity,
+    )
+
+
+def _build_superposition(scenario: Scenario, spec: dict):
+    terms_obj = spec.get("terms")
+    _require(isinstance(terms_obj, list) and terms_obj, "state.terms: expected a nonempty array")
+    _require(scenario.space.particles == 2, "state.kind superposition: needs exactly two particles")
+    terms = []
+    for k, t in enumerate(terms_obj):
+        where = f"state.terms[{k}]"
+        _require(isinstance(t, dict), f"{where}: expected an object")
+        weight = 1.0 + 0.0j
+        if "weight" in t:
+            weight = decode_complex(t["weight"], f"{where}.weight")
+        terms.append(
+            SuperpositionTerm(
+                _factor_from_spec(t.get("factor_1"), scenario, f"{where}.factor_1"),
+                _factor_from_spec(t.get("factor_2"), scenario, f"{where}.factor_2"),
+                weight=weight,
+            )
+        )
+    return superposition_state(terms, scenario.parity)
+
+
+def _build_shared_spatial(scenario: Scenario, spec: dict):
+    spatial = decode_vector(spec.get("mode_amplitudes"), "state.mode_amplitudes")
+    spins = spec.get("spins")
+    if spins is not None:
+        spin_part = np.vstack([decode_vector(s, f"state.spins[{m}]") for m, s in enumerate(spins)])
+    else:
+        spin_part = decode_vector(spec.get("spin"), "state.spin")
+    return subspace_state(SubspaceKind.SHARED_SPATIAL, spatial, spin_part, scenario.space)
+
+
+def _build_spatial_sector(scenario: Scenario, spec: dict):
+    spatial = decode_vector(spec.get("spatial"), "state.spatial")
+    spin_part = decode_vector(spec.get("spin"), "state.spin")
+    return subspace_state(SubspaceKind(spec["kind"]), spatial, spin_part, scenario.space)
+
+
+def _build_embed_pure(scenario: Scenario, spec: dict):
+    target = decode_vector(spec.get("target"), "state.target")
+    _require(target.size == scenario.space.spin_dim**2, "state.target: wrong dimension")
+    r1, r2 = _embed_regions(scenario, spec)
+    phi, _ = normalize(target)
+    return embed_pure(phi, r1, r2, scenario.parity, scenario.space.num_modes)
+
+
+def _build_embed_mixed(scenario: Scenario, spec: dict):
+    target = decode_matrix(spec.get("target"), "state.target")
+    r1, r2 = _embed_regions(scenario, spec)
+    return embed_mixed(target, r1, r2, scenario.parity, scenario.space.num_modes)
+
+
+def _build_embed_random(scenario: Scenario, spec: dict):
+    dim = scenario.space.spin_dim**2
+    rank = spec.get("rank", dim)
+    _require(is_integer(rank) and 1 <= rank <= dim, "state.rank: out of range")
+    rng = np.random.default_rng(scenario.seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    sigma = g @ g.conj().T
+    sigma = sigma / np.trace(sigma).real
+    r1, r2 = _embed_regions(scenario, spec)
+    return embed_mixed(sigma, r1, r2, scenario.parity, scenario.space.num_modes)
+
+
+@dataclass(frozen=True)
+class StateKind:
+    """``build(scenario, state spec)`` returns a ``BuiltState`` or ``SubspaceState``."""
+
+    build: Callable[[Scenario, dict], Any]
+    needs_parity: bool = True  # subspace kinds fix their own projections
+    needs_seed: bool = False
+
+
+STATES = {
+    "localized": StateKind(_build_localized),
+    "superposition": StateKind(_build_superposition),
+    "shared_spatial": StateKind(_build_shared_spatial, needs_parity=False),
+    "symmetric_spatial": StateKind(_build_spatial_sector, needs_parity=False),
+    "antisymmetric_spatial": StateKind(_build_spatial_sector, needs_parity=False),
+    "embed_pure": StateKind(_build_embed_pure),
+    "embed_mixed": StateKind(_build_embed_mixed),
+    "embed_random": StateKind(_build_embed_random, needs_seed=True),
+}
+
+
+# ---------------------------------------------------------------- analyses
+
+
+def _run_reduction(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
+    space = scenario.space
+    names = opts.get("regions", scenario.region_names[: space.particles])
+    _require(
+        isinstance(names, list) and len(names) == space.particles,
+        "analysis.regions: expected one region per particle",
+    )
+    regions = [scenario.region(n) for n in names]
+    raw = reduced_spin_probe(rho, regions, space.spin_dim, space.num_modes)
+    rep = reduction_report(raw, space.particles, space.spin_dim)
+    return {
+        "raw_matrix": encode_matrix(raw.matrix),
+        "trace": float(raw.trace),
+        "hermiticity_defect": float(raw.hermiticity_defect),
+        "min_eigenvalue": float(raw.min_eigenvalue),
+        "normalized": None if rep.normalized is None else encode_matrix(rep.normalized),
+        "symmetry_class": rep.symmetry_class,
+        "valid_state": bool(rep.valid_state),
+    }
+
+
+def _run_spatial_trace(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
+    space = scenario.space
+    reduced = trace_out_spatial(rho, space)
+    verdict = classify_symmetry(reduced, space.particles, space.spin_dim)
+    return {
+        "matrix": encode_matrix(reduced),
+        "trace": float(np.trace(reduced).real),
+        "symmetry_class": verdict.label,
+        "antisymmetric_defect": float(verdict.antisymmetric_defect),
+        "symmetric_defect": float(verdict.symmetric_defect),
+    }
+
+
+def _run_entanglement(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
+    space = scenario.space
+    source = opts.get("source")
+    if source is None:
+        source = "reduction" if "reduction" in results else "spatial_trace"
+    entry = results.get(source)
+    if entry is None or "error" in entry:
+        raise ConstructionError(f"entanglement analysis needs a successful {source!r} analysis")
+    encoded = entry.get("normalized") if source == "reduction" else entry.get("matrix")
+    if encoded is None:
+        raise ConstructionError("no normalized reduced state available")
+    rho = decode_matrix(encoded, f"results.{source}")
+    trace = float(np.trace(rho).real)
+    if abs(trace - 1.0) > 1e-8:
+        rho = rho / trace
+    d_left = space.spin_dim
+    d_right = space.spin_dim ** (space.particles - 1)
+    purity = float(np.trace(rho @ rho).real)
+    out = {
+        "source": source,
+        "negativity": float(negativity(rho, d_left, d_right)),
+        "entropy_bits": float(von_neumann_entropy(rho, validate=False)),
+        "purity": purity,
+        "separability": ppt_classification(rho, d_left, d_right),
+        "schmidt_coefficients": None,
+    }
+    if purity >= 1.0 - 1e-10:
+        psi = np.linalg.eigh(rho)[1][:, -1]
+        coeffs = schmidt(psi, d_left, d_right).coefficients
+        out["schmidt_coefficients"] = [float(c) for c in coeffs]
+    return out
+
+
+def _run_algebra(scenario: Scenario, opts: dict, rho, results: dict) -> list[dict]:
+    space = scenario.space
+    pairs = opts.get("pairs", [[scenario.region_names[0], scenario.region_names[1]]])
+    _require(
+        isinstance(pairs, list) and pairs, "analysis.pairs: expected a nonempty array of pairs"
+    )
+    entries = []
+    for pair in pairs:
+        _require(
+            isinstance(pair, list) and len(pair) == 2,
+            "analysis.pairs: each pair needs two region names",
+        )
+        p = projector(scenario.region(pair[0]), space.num_modes)
+        q = projector(scenario.region(pair[1]), space.num_modes)
+        verdict = bipartition_check(p, q, space.spin_dim)
+        entries.append(
+            {
+                "pair": [pair[0], pair[1]],
+                "commutes": bool(verdict.commutes),
+                "max_commutator_norm": float(verdict.max_commutator_norm),
+                "witness": None if verdict.witness is None else list(verdict.witness),
+                "projected_max_norm": float(verdict.projected_max_norm),
+            }
+        )
+    return entries
+
+
+def _run_overlap_sweep(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
+    space = scenario.space
+    _require(space.spin_dim >= 2, "overlap_sweep: needs at least two spin levels")
+    steps = opts.get("steps", 21)
+    _require(is_integer(steps) and steps >= 2, "overlap_sweep.steps: expected an integer >= 2")
+    region1 = scenario.region(opts.get("region_1", scenario.region_names[0]))
+    region2 = scenario.region(opts.get("region_2", scenario.region_names[1]))
+    eye = np.eye(space.spin_dim, dtype=complex)
+    spin_1 = decode_vector(opts["spin_1"], "overlap_sweep.spin_1") if "spin_1" in opts else eye[0]
+    spin_2 = decode_vector(opts["spin_2"], "overlap_sweep.spin_2") if "spin_2" in opts else eye[-1]
+    spin_1 = spin_1 / np.linalg.norm(spin_1)
+    spin_2 = spin_2 / np.linalg.norm(spin_2)
+
+    m1 = region1.sorted_modes()[0]
+    m2 = region2.sorted_modes()[0]
+    f_wave = mode_wavefunction(m1, space.num_modes)
+
+    rows: list[list[float | None]] = []
+    for k in range(steps):
+        theta = (math.pi / 2.0) * k / (steps - 1)
+        g_amps = np.zeros(space.num_modes, dtype=complex)
+        g_amps[m1] = math.sin(theta)
+        g_amps[m2] = math.cos(theta)
+        g_wave = Wavefunction(g_amps)
+        state, _ = two_particle_localized(
+            LocalizedFactor(f_wave, spin_1),
+            LocalizedFactor(g_wave, spin_2),
+            scenario.parity,
+        )
+        pair_rho = np.outer(state, state.conj())
+        raw = reduced_spin_probe(pair_rho, [region1, region2], space.spin_dim, space.num_modes)
+        rep = reduction_report(raw, 2, space.spin_dim)
+        neg: float | None = None
+        ent: float | None = None
+        if rep.normalized is not None:
+            neg = float(negativity(rep.normalized, space.spin_dim, space.spin_dim))
+            ent = float(von_neumann_entropy(rep.normalized, validate=False))
+        rows.append([math.sin(theta), float(raw.trace), float(raw.min_eigenvalue), neg, ent])
+    return {"csv": f"{scenario.name}_sweep.csv", "rows": rows}
+
+
+def _sweep_csv(entry: dict) -> dict[str, list[str]]:
+    lines = [SWEEP_CSV_HEADER]
+    for row in entry["rows"]:
+        lines.append(",".join(repr(float(v)) if v is not None else "nan" for v in row))
+    return {entry["csv"]: lines}
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """``run(scenario, options, rho, results so far)`` returns the report entry, which
+    ``summary`` and ``side_files`` render; parsing checks the rest, naming it ``title``."""
+
+    run: Callable[[Scenario, dict, Any, dict], Any]
+    summary: Callable[[Any], str]
+    title: str
+    side_files: Callable[[Any], dict[str, list[str]]] = lambda entry: {}
+    needs_state: bool = False
+    needs_parity: bool = False
+    min_regions: Callable[[SpaceSpec], int] = lambda space: 0
+    particle_cap: int = MAX_PARTICLES
+
+
+ANALYSES = {
+    "reduction": Analysis(
+        _run_reduction,
+        lambda e: f"  reduction: trace {e['trace']:.12g}, min eig "
+        f"{e['min_eigenvalue']:.3e}, class {e['symmetry_class']}",
+        "the probe reduction",
+        needs_state=True,
+        min_regions=lambda space: space.particles,
+        particle_cap=PROBE_PARTICLE_CAP,
+    ),
+    "spatial_trace": Analysis(
+        _run_spatial_trace,
+        lambda e: f"  spatial_trace: class {e['symmetry_class']}",
+        "the spatial trace",
+        needs_state=True,
+    ),
+    "entanglement": Analysis(
+        _run_entanglement,
+        lambda e: f"  entanglement: negativity {e['negativity']:.12g}, entropy "
+        f"{e['entropy_bits']:.12g} bits, {e['separability']}",
+        "the entanglement analysis",
+        needs_state=True,
+    ),
+    "algebra": Analysis(
+        _run_algebra,
+        lambda entries: "\n".join(
+            f"  algebra {e['pair']}: commutes={e['commutes']} "
+            f"(norm {e['max_commutator_norm']:.3e})"
+            for e in entries
+        ),
+        "the algebra analysis",
+        min_regions=lambda space: 2,
+    ),
+    "overlap_sweep": Analysis(
+        _run_overlap_sweep,
+        lambda e: f"  overlap_sweep: {len(e['rows'])} steps -> {e['csv']}",
+        "the overlap sweep",
+        side_files=_sweep_csv,
+        needs_parity=True,
+        min_regions=lambda space: 2,
+    ),
+}
+
+
+# ---------------------------------------------------------------- expectations
+
+
+def _value_check(accepts: Callable[[Any], bool], expected: str):
+    """A parse-time check of an expectation value, which it returns as given."""
+    def check(value, where: str, space: SpaceSpec):
+        _require(accepts(value), f"{where}: expected {expected}")
+        return value
+    return check
+
+
+def _label(*labels: str):
+    return _value_check(lambda v: v in labels, f"one of {sorted(labels)}")
+
+
+def _spin_matrix(value, where: str, space: SpaceSpec) -> np.ndarray:
+    matrix = decode_matrix(value, where)
+    dim = space.spin_dim**space.particles
+    _require(matrix.shape == (dim, dim), f"{where}: expected a {dim}x{dim} matrix")
+    return matrix
+
+
+_number = _value_check(lambda v: _finite_real(v) is not None, "a finite number")
+_boolean = _value_check(lambda v: isinstance(v, bool), "true or false")
+_booleans = _value_check(
+    lambda v: isinstance(v, list) and all(isinstance(b, bool) for b in v), "an array of booleans"
+)
+_symmetry_label = _label(ANTISYMMETRIC, SYMMETRIC, NO_SYMMETRY)
+
+
+def _equal(key: str, got, wanted, tol: float) -> str | None:
+    return None if got == wanted else f"{key}: got {got!r}, wanted {wanted!r}"
+
+
+def _close(key: str, got, wanted, tol: float) -> str | None:
+    return None if abs(got - wanted) <= tol else f"{key}: got {got!r}, wanted {wanted!r}"
+
+
+def _at_least(key: str, got, wanted, tol: float) -> str | None:
+    return f"min_eigenvalue {got!r} below {wanted!r}" if got < wanted else None
+
+
+def _separable(key: str, got, wanted, tol: float) -> str | None:
+    return _equal(key, got == SEPARABLE, wanted, tol)
+
+
+def _deviation(key: str, got, wanted: np.ndarray, tol: float) -> str | None:
+    if got is None:
+        return f"{key}: no normalized reduced state"
+    deviation = frob(decode_matrix(got, f"results.{key}") - wanted)
+    return f"{key}: deviation {deviation:.3e} > {tol}" if deviation > tol else None
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """``compare`` checks ``field`` of the report entry ``source`` names (the built state when
+    None; else the first that ran, or the last) against the value ``value`` validated."""
+
+    source: tuple[str, ...] | None
+    field: str
+    value: Callable[[Any, str, SpaceSpec], Any]
+    compare: Callable[[str, Any, Any, float], str | None]
+
+
+EXPECTATIONS = {
+    "raw_trace": Expectation(("reduction",), "trace", _number, _close),
+    "reduced_matrix": Expectation(("reduction",), "normalized", _spin_matrix, _deviation),
+    "spatial_trace_matrix": Expectation(("spatial_trace",), "matrix", _spin_matrix, _deviation),
+    "symmetry_class": Expectation(
+        ("spatial_trace", "reduction"), "symmetry_class", _symmetry_label, _equal
+    ),
+    "statistics": Expectation(None, "statistics", _symmetry_label, _equal),
+    "raw_norm": Expectation(None, "raw_norm", _number, _close),
+    "negativity": Expectation(("entanglement",), "negativity", _number, _close),
+    "entropy_bits": Expectation(("entanglement",), "entropy_bits", _number, _close),
+    "purity": Expectation(("entanglement",), "purity", _number, _close),
+    "separability": Expectation(
+        ("entanglement",), "separability", _label(SEPARABLE, ENTANGLED, PPT_INCONCLUSIVE), _equal
+    ),
+    "separable": Expectation(("entanglement",), "separability", _boolean, _separable),
+    "commutes": Expectation(("algebra",), "commutes", _booleans, _equal),
+    "min_eigenvalue_at_least": Expectation(("reduction",), "min_eigenvalue", _number, _at_least),
+}
+
+
+# ---------------------------------------------------------------- parsing
 
 
 def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
@@ -186,7 +619,10 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         spin_dim=_positive_int(space_obj, "spin_levels", "space"),
         particles=_positive_int(space_obj, "particles", "space"),
     )
-    _require(space.particles <= 6, "space.particles: at most 6 particles are supported")
+    _require(
+        space.particles <= MAX_PARTICLES,
+        f"space.particles: at most {MAX_PARTICLES} particles are supported",
+    )
 
     parity = None
     if "parity" in obj:
@@ -225,59 +661,48 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
     tolerance = obj.get("tolerance")
     if tolerance is not None:
         tolerance = _finite_real(tolerance)
-        _require(
-            tolerance is not None and tolerance > 0, "tolerance: expected a positive number"
-        )
+        _require(tolerance is not None and tolerance > 0, "tolerance: expected a positive number")
 
     state_spec = obj.get("state")
     if state_spec is not None:
         _require(isinstance(state_spec, dict), "state: expected an object")
-        kind = state_spec.get("kind")
-        _require(kind in STATE_KINDS, f"state.kind: expected one of {sorted(STATE_KINDS)}")
-        if kind in RANDOM_STATE_KINDS:
+        state = _registered(STATES, state_spec.get("kind"), "state.kind")
+        if state.needs_seed:
             _require(seed is not None, "seed: required for randomized scenarios")
-        if kind in PARITY_STATE_KINDS:
+        if state.needs_parity:
             _require(parity is not None, "parity: required to build this state")
 
     analyses_obj = obj.get("analyses")
-    _require(
-        isinstance(analyses_obj, list) and analyses_obj,
-        "analyses: required nonempty array",
-    )
+    _require(isinstance(analyses_obj, list) and analyses_obj, "analyses: required nonempty array")
     analyses: list[dict] = []
     for k, entry in enumerate(analyses_obj):
         where = f"analyses[{k}]"
         if isinstance(entry, str):
             entry = {"analysis": entry}
         _require(isinstance(entry, dict), f"{where}: expected a name or an object")
-        _require(
-            entry.get("analysis") in ANALYSIS_KINDS,
-            f"{where}.analysis: expected one of {sorted(ANALYSIS_KINDS)}",
-        )
+        analysis = _registered(ANALYSES, entry.get("analysis"), f"{where}.analysis")
         analyses.append(entry)
-
-    needs_state = any(
-        a["analysis"] in ("reduction", "spatial_trace", "entanglement") for a in analyses
-    )
-    if needs_state:
-        _require(state_spec is not None, "state: required by the requested analyses")
-    if any(a["analysis"] == "reduction" for a in analyses):
+        if analysis.needs_state:
+            _require(state_spec is not None, "state: required by the requested analyses")
+        min_regions = analysis.min_regions(space)
         _require(
-            len(region_names) >= space.particles,
-            "regions: the reduction analysis needs one region per particle",
+            len(region_names) >= min_regions,
+            f"regions: {analysis.title} needs at least {min_regions} named regions",
         )
         _require(
-            space.particles <= 4, "space.particles: the probe reduction supports at most 4"
+            space.particles <= analysis.particle_cap,
+            f"space.particles: {analysis.title} supports at most {analysis.particle_cap}",
         )
-    if any(a["analysis"] in ("algebra", "overlap_sweep") for a in analyses):
-        _require(len(region_names) >= 2, "regions: need at least two named regions")
-    if any(a["analysis"] == "overlap_sweep" for a in analyses):
-        _require(parity is not None, "parity: required by the overlap sweep")
+        if analysis.needs_parity:
+            _require(parity is not None, f"parity: required by {analysis.title}")
 
-    expectations = obj.get("expectations", {})
-    _require(isinstance(expectations, dict), "expectations: expected an object")
-    for key in expectations:
-        _require(key in EXPECTATION_KEYS, f"expectations.{key}: unknown expectation")
+    expectations_obj = obj.get("expectations", {})
+    _require(isinstance(expectations_obj, dict), "expectations: expected an object")
+    expectations = {}
+    for key, value in expectations_obj.items():
+        where = f"expectations.{key}"
+        _require(key in EXPECTATIONS, f"{where}: unknown expectation")
+        expectations[key] = EXPECTATIONS[key].value(value, where, space)
 
     return Scenario(
         name=name,

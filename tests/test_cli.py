@@ -95,6 +95,11 @@ def test_parse_scenario_diagnostics_name_offending_field():
         parse_scenario(_minimal_scenario(analyses=[]))
     with pytest.raises(ScenarioValidationError, match="expectations.bogus"):
         parse_scenario(_minimal_scenario(expectations={"bogus": 1}))
+    # kind names that are not strings (unhashable ones included) are rejected, not looked up
+    with pytest.raises(ScenarioValidationError, match="state.kind"):
+        parse_scenario(_minimal_scenario(state={"kind": ["localized"]}))
+    with pytest.raises(ScenarioValidationError, match="analyses\\[0\\].analysis"):
+        parse_scenario(_minimal_scenario(analyses=[{"analysis": {}}]))
 
 
 def test_random_scenarios_require_seed():
@@ -146,13 +151,53 @@ def test_run_scenario_exit_codes(tmp_path):
         assert code == EXIT_VALIDATION
         assert f"state.factors[0].{field}" in lines[0]
 
-    # expectations are decoded after the analyses run and fail validation too
+    # a region name that is not a string is an unknown region
+    pairs_claim = json.loads((CLAIMS_DIR / "local_algebra_commutation.json").read_text())
+    pairs_claim["analyses"][0]["pairs"][0][0] = ["left"]
+    path = tmp_path / "malformed_pair.json"
+    path.write_text(json.dumps(pairs_claim), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == ["validation error: unknown region ['left']"]
+
+    # malformed expectation matrices fail validation too
     claim["expectations"]["reduced_matrix"] = [[math.nan] * 4] * 4
     path = tmp_path / "malformed_expectation.json"
     path.write_text(json.dumps(claim), encoding="utf-8")
     lines = []
     assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
     assert "expectations.reduced_matrix" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "file, key, value",
+    [
+        ("two_fermions_disjoint.json", "raw_trace", [1]),
+        ("two_fermions_disjoint.json", "min_eigenvalue_at_least", None),
+        ("two_fermions_disjoint.json", "commutes", 5),
+        ("local_algebra_commutation.json", "commutes", 5),
+        ("two_fermions_disjoint.json", "raw_trace", "x"),
+        ("two_fermions_disjoint.json", "separable", "no"),
+        ("two_fermions_disjoint.json", "statistics", 3),
+        ("two_fermions_disjoint.json", "reduced_matrix", [[0.25]]),
+    ],
+)
+def test_malformed_expectation_values_fail_validation(tmp_path, file, key, value):
+    claim = json.loads((CLAIMS_DIR / file).read_text(encoding="utf-8"))
+    claim["expectations"][key] = value
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    path = suite / file
+    path.write_text(json.dumps(claim), encoding="utf-8")
+
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [lines[0]] and lines[0].startswith(f"validation error: expectations.{key}:")
+
+    lines = []
+    assert run_suite(suite, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert f"ERROR  validation: expectations.{key}:" in lines[0]
+    assert not list(tmp_path.glob("*.report.json"))
 
 
 def test_run_scenario_writes_report_sidecar(tmp_path):
@@ -175,6 +220,12 @@ def test_cli_json_format(tmp_path, capsys):
     assert code == EXIT_OK
     printed = json.loads(capsys.readouterr().out)
     assert printed["name"] == "minimal"
+
+
+def test_cli_suite_has_no_format_option():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["suite", "claims", "--format", "json"])
+    assert excinfo.value.code == 2
 
 
 def test_bundled_claims_suite_passes(tmp_path):
