@@ -15,9 +15,10 @@ import numpy as np
 
 from .linalg import as_matrix, frob, identity, kron, matrix_unit, projection_defect
 from .lift import lift_product
-from .symmetry import Parity, symmetrizer
+from .symmetry import Parity, compress
 
 PROJECTION_TOL = 1e-10
+TIE_TOL = 1e-12  # relative spread of norms read as one maximum
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +67,7 @@ def local_generator(side: int, spin_op, p, q) -> np.ndarray:
 def commutator_expansion(p, q, a1, a2) -> np.ndarray:
     """Closed four-term form of the commutator of two local generators, in
     the interleaved (mode, spin, mode, spin) factor order."""
-    p = as_matrix(p)
-    q = as_matrix(q)
-    a1 = as_matrix(a1)
-    a2 = as_matrix(a2)
+    p, q, a1, a2 = (as_matrix(m) for m in (p, q, a1, a2))
     eye = identity(a1.shape[0])
     pq = p @ q
     qp = q @ p
@@ -83,40 +81,37 @@ def commutator_expansion(p, q, a1, a2) -> np.ndarray:
     )
 
 
+def _first_maximum(pairs: list[tuple[str, str]], norms: list[float]) -> tuple[float, tuple]:
+    """The largest norm, and the first pair in sweep order within a relative TIE_TOL
+    of it: relabelling the spin levels ties several pairs at every maximum."""
+    top = max(norms)
+    return top, next(pair for pair, norm in zip(pairs, norms) if norm >= top * (1 - TIE_TOL))
+
+
 def bipartition_check(p, q, spin_dim: int, tol: float = 1e-10) -> BipartitionVerdict:
     """Sweep both local subalgebras over a Hermitian spin-operator basis and
     report the largest commutator norm with the pair achieving it.
 
-    ``p`` and ``q`` must be orthogonal projections.  The same commutators
-    compressed to the antisymmetric two-particle subspace are reported
-    separately.
+    Each commutator is the closed form of ``commutator_expansion``, so no
+    generator is formed.  ``p`` and ``q`` must be orthogonal projections.  The
+    same commutators compressed to the antisymmetric two-particle subspace
+    are reported separately.
     """
-    p = as_matrix(p)
-    q = as_matrix(q)
+    p, q = as_matrix(p), as_matrix(q)
     for name, mat in (("p", p), ("q", q)):
         if projection_defect(mat) > PROJECTION_TOL:
             raise ValueError(f"{name} is not an orthogonal projection within tolerance")
 
     basis = hermitian_basis(spin_dim)
-    gens_1 = [(label, local_generator(1, op, p, q)) for label, op in basis]
-    gens_2 = [(label, local_generator(2, op, p, q)) for label, op in basis]
-    pi_minus = symmetrizer(2, p.shape[0] * spin_dim, Parity.FERMI)
-
-    max_norm = 0.0
-    witness: tuple[str, str] | None = None
-    max_proj = 0.0
-    proj_witness: tuple[str, str] | None = None
-    for label_a, gen_a in gens_1:
-        for label_b, gen_b in gens_2:
-            comm = gen_a @ gen_b - gen_b @ gen_a
-            norm = frob(comm)
-            if norm > max_norm:
-                max_norm = norm
-                witness = (label_a, label_b)
-            proj_norm = frob(pi_minus @ comm @ pi_minus)
-            if proj_norm > max_proj:
-                max_proj = proj_norm
-                proj_witness = (label_a, label_b)
+    pairs, norms, proj_norms = [], [], []
+    for label_a, a in basis:
+        for label_b, b in basis:
+            comm = commutator_expansion(p, q, a, b)
+            pairs.append((label_a, label_b))
+            norms.append(frob(comm))
+            proj_norms.append(frob(compress(comm, 2, p.shape[0] * spin_dim, Parity.FERMI)))
+    max_norm, witness = _first_maximum(pairs, norms)
+    max_proj, proj_witness = _first_maximum(pairs, proj_norms)
 
     commutes = max_norm <= tol
     return BipartitionVerdict(

@@ -75,10 +75,6 @@ def kron(*factors) -> np.ndarray:
     return out
 
 
-def _prod(dims: Iterable[int]) -> int:
-    return math.prod(dims)
-
-
 def partial_trace(mat, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 
@@ -88,7 +84,7 @@ def partial_trace(mat, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """
     mat = as_matrix(mat)
     dims = tuple(int(d) for d in dims)
-    total = _prod(dims)
+    total = math.prod(dims)
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match factor dims {dims}")
     k = len(dims)
@@ -99,7 +95,6 @@ def partial_trace(mat, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     tensor = mat.reshape(dims + dims)
     row_sub = list(range(k))
     col_sub = []
-    out_sub = []
     fresh = k
     for ax in range(k):
         if ax in keep:
@@ -109,7 +104,7 @@ def partial_trace(mat, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
             col_sub.append(ax)  # repeated label -> traced
     out_sub = [ax for ax in keep] + [col_sub[ax] for ax in keep]
     reduced = np.einsum(tensor, row_sub + col_sub, out_sub)
-    d_keep = _prod(dims[ax] for ax in keep)
+    d_keep = math.prod(dims[ax] for ax in keep)
     return reduced.reshape(d_keep, d_keep)
 
 
@@ -131,7 +126,7 @@ def permute_factors(arr, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
     k = len(dims)
     perm = _check_permutation(perm, k)
     inv = np.argsort(perm)
-    total = _prod(dims)
+    total = math.prod(dims)
     arr = np.asarray(arr, dtype=complex)
     if arr.ndim == 1:
         if arr.shape != (total,):

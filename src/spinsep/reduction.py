@@ -41,8 +41,8 @@ from .symmetry import (
     NO_SYMMETRY,
     SYMMETRIC,
     Parity,
+    compress,
     enumerate_sn,
-    symmetrizer,
 )
 
 PROBE_PARTICLE_CAP = 4
@@ -203,10 +203,8 @@ def classify_symmetry(
     total = spin_dim**particles
     if rho_spin.shape != (total, total):
         raise ValueError("matrix does not act on the n-spin space")
-    pi_minus = symmetrizer(particles, spin_dim, Parity.FERMI)
-    pi_plus = symmetrizer(particles, spin_dim, Parity.BOSE)
-    defect_minus = frob(pi_minus @ rho_spin @ pi_minus - rho_spin)
-    defect_plus = frob(pi_plus @ rho_spin @ pi_plus - rho_spin)
+    defect_minus = frob(compress(rho_spin, particles, spin_dim, Parity.FERMI) - rho_spin)
+    defect_plus = frob(compress(rho_spin, particles, spin_dim, Parity.BOSE) - rho_spin)
     if defect_minus <= tol:
         label = ANTISYMMETRIC
     elif defect_plus <= tol:

@@ -43,7 +43,7 @@ from .entanglement import (
     schmidt,
     von_neumann_entropy,
 )
-from .linalg import frob, normalize
+from .linalg import check_density_matrix, frob, normalize
 from .reduction import (
     PROBE_PARTICLE_CAP,
     classify_symmetry,
@@ -171,6 +171,14 @@ def _registered(table: dict, name, where: str):
     return table[name]
 
 
+def _checked(build: Callable[[], Any], where: str):
+    """``build()``, reporting the ValueError of a library check as a fault of ``where``."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ScenarioValidationError(f"{where}: {exc}") from exc
+
+
 def _positive_int(obj, key: str, where: str) -> int:
     value = obj.get(key)
     _require(is_integer(value) and value >= 1, f"{where}.{key}: expected a positive integer")
@@ -180,15 +188,23 @@ def _positive_int(obj, key: str, where: str) -> int:
 # ---------------------------------------------------------------- state kinds
 
 
+def _sized_vector(value, where: str, size: int) -> np.ndarray:
+    vector = decode_vector(value, where)
+    _require(vector.size == size, f"{where}: wrong dimension")
+    return vector
+
+
+def _unit_spin(value, where: str, space: SpaceSpec) -> np.ndarray:
+    spin = _sized_vector(value, where, space.spin_dim)
+    norm = float(np.linalg.norm(spin))
+    _require(norm >= 1e-12, f"{where}: zero vector")
+    return spin / norm
+
+
 def _factor_from_spec(obj, scenario: Scenario, where: str) -> LocalizedFactor:
     _require(isinstance(obj, dict), f"{where}: expected an object")
-    spin = obj.get("spin")
-    _require(spin is not None, f"{where}.spin: required")
-    spin_vec = decode_vector(spin, f"{where}.spin")
-    _require(spin_vec.size == scenario.space.spin_dim, f"{where}.spin: wrong dimension")
-    norm = float(np.linalg.norm(spin_vec))
-    if norm < 1e-12:
-        raise ScenarioValidationError(f"{where}.spin: zero vector")
+    _require(obj.get("spin") is not None, f"{where}.spin: required")
+    spin = _unit_spin(obj["spin"], f"{where}.spin", scenario.space)
     num_modes = scenario.space.num_modes
     if "mode" in obj:
         mode = obj["mode"]
@@ -198,12 +214,12 @@ def _factor_from_spec(obj, scenario: Scenario, where: str) -> LocalizedFactor:
         )
         wave = mode_wavefunction(mode, num_modes)
     elif "amplitudes" in obj:
-        amps = decode_vector(obj["amplitudes"], f"{where}.amplitudes")
-        _require(amps.size == num_modes, f"{where}.amplitudes: wrong dimension")
-        wave = wavefunction(amps, scenario.region(obj["support"]) if "support" in obj else None)
+        amps = _sized_vector(obj["amplitudes"], f"{where}.amplitudes", num_modes)
+        support = scenario.region(obj["support"]) if "support" in obj else None
+        wave = _checked(lambda: wavefunction(amps, support), f"{where}.amplitudes")
     else:
         raise ScenarioValidationError(f"{where}: needs 'mode' or 'amplitudes'")
-    return LocalizedFactor(wave, spin_vec / norm)
+    return LocalizedFactor(wave, spin)
 
 
 def _embed_regions(scenario: Scenario, spec: dict) -> tuple[SpatialRegion, SpatialRegion]:
@@ -211,7 +227,9 @@ def _embed_regions(scenario: Scenario, spec: dict) -> tuple[SpatialRegion, Spati
     _require(
         isinstance(names, list) and len(names) == 2, "state.regions: expected two region names"
     )
-    return scenario.region(names[0]), scenario.region(names[1])
+    r1, r2 = scenario.region(names[0]), scenario.region(names[1])
+    _require(r1.disjoint_from(r2), "state.regions: embedding regions must be disjoint")
+    return r1, r2
 
 
 def _build_localized(scenario: Scenario, spec: dict):
@@ -248,31 +266,41 @@ def _build_superposition(scenario: Scenario, spec: dict):
 
 
 def _build_shared_spatial(scenario: Scenario, spec: dict):
-    spatial = decode_vector(spec.get("mode_amplitudes"), "state.mode_amplitudes")
+    space = scenario.space
+    spin_dim = space.spin_dim**space.particles
+    spatial = _sized_vector(spec.get("mode_amplitudes"), "state.mode_amplitudes", space.num_modes)
     spins = spec.get("spins")
     if spins is not None:
-        spin_part = np.vstack([decode_vector(s, f"state.spins[{m}]") for m, s in enumerate(spins)])
+        _require(
+            isinstance(spins, list) and len(spins) == space.num_modes,
+            "state.spins: expected one spin vector per mode",
+        )
+        spin_part = np.vstack(
+            [_sized_vector(s, f"state.spins[{m}]", spin_dim) for m, s in enumerate(spins)]
+        )
     else:
-        spin_part = decode_vector(spec.get("spin"), "state.spin")
-    return subspace_state(SubspaceKind.SHARED_SPATIAL, spatial, spin_part, scenario.space)
+        spin_part = _sized_vector(spec.get("spin"), "state.spin", spin_dim)
+    return subspace_state(SubspaceKind.SHARED_SPATIAL, spatial, spin_part, space)
 
 
 def _build_spatial_sector(scenario: Scenario, spec: dict):
-    spatial = decode_vector(spec.get("spatial"), "state.spatial")
-    spin_part = decode_vector(spec.get("spin"), "state.spin")
-    return subspace_state(SubspaceKind(spec["kind"]), spatial, spin_part, scenario.space)
+    space = scenario.space
+    spatial = _sized_vector(spec.get("spatial"), "state.spatial", space.num_modes**space.particles)
+    spin_part = _sized_vector(spec.get("spin"), "state.spin", space.spin_dim**space.particles)
+    return subspace_state(SubspaceKind(spec["kind"]), spatial, spin_part, space)
 
 
 def _build_embed_pure(scenario: Scenario, spec: dict):
-    target = decode_vector(spec.get("target"), "state.target")
-    _require(target.size == scenario.space.spin_dim**2, "state.target: wrong dimension")
+    target = _sized_vector(spec.get("target"), "state.target", scenario.space.spin_dim**2)
     r1, r2 = _embed_regions(scenario, spec)
-    phi, _ = normalize(target)
+    phi, _ = _checked(lambda: normalize(target), "state.target")
     return embed_pure(phi, r1, r2, scenario.parity, scenario.space.num_modes)
 
 
 def _build_embed_mixed(scenario: Scenario, spec: dict):
     target = decode_matrix(spec.get("target"), "state.target")
+    _require(target.shape == (scenario.space.spin_dim**2,) * 2, "state.target: wrong dimension")
+    _checked(lambda: check_density_matrix(target), "state.target")
     r1, r2 = _embed_regions(scenario, spec)
     return embed_mixed(target, r1, r2, scenario.parity, scenario.space.num_modes)
 
@@ -415,10 +443,10 @@ def _run_overlap_sweep(scenario: Scenario, opts: dict, rho, results: dict) -> di
     region1 = scenario.region(opts.get("region_1", scenario.region_names[0]))
     region2 = scenario.region(opts.get("region_2", scenario.region_names[1]))
     eye = np.eye(space.spin_dim, dtype=complex)
-    spin_1 = decode_vector(opts["spin_1"], "overlap_sweep.spin_1") if "spin_1" in opts else eye[0]
-    spin_2 = decode_vector(opts["spin_2"], "overlap_sweep.spin_2") if "spin_2" in opts else eye[-1]
-    spin_1 = spin_1 / np.linalg.norm(spin_1)
-    spin_2 = spin_2 / np.linalg.norm(spin_2)
+    spin_1, spin_2 = (
+        _unit_spin(opts[key], f"overlap_sweep.{key}", space) if key in opts else default
+        for key, default in (("spin_1", eye[0]), ("spin_2", eye[-1]))
+    )
 
     m1 = region1.sorted_modes()[0]
     m2 = region2.sorted_modes()[0]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import as_vector, kron, permute_factors
 from .spatial import SpaceSpec, Wavefunction
-from .symmetry import MAX_PARTICLES, Parity, enumerate_sn, exchange_character, symmetrizer
+from .symmetry import MAX_PARTICLES, Parity, enumerate_sn, exchange_character, symmetrize
 
 ZERO_TOL = 1e-12
 
@@ -152,18 +152,12 @@ def interleave_particles(grouped: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     (mode, spin)^n convention."""
     n = spec.particles
     dims = (spec.num_modes,) * n + (spec.spin_dim,) * n
-    # output slot 2k takes input factor k, slot 2k+1 takes input factor n+k
-    target_sources = []
-    for k in range(n):
-        target_sources.extend([k, n + k])
-    perm = [0] * (2 * n)
-    for out_slot, src in enumerate(target_sources):
-        perm[src] = out_slot
+    # input factor k (a mode) goes to slot 2k, input factor n+k (a spin) to slot 2k+1
+    perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
     return permute_factors(grouped, dims, perm)
 
 
-def _project_or_raise(vec: np.ndarray, proj: np.ndarray, what: str) -> np.ndarray:
-    projected = proj @ vec
+def _project_or_raise(projected: np.ndarray, what: str) -> np.ndarray:
     if float(np.linalg.norm(projected)) < ZERO_TOL:
         raise ZeroStateError(f"{what} part vanishes under the required projection")
     return projected
@@ -190,8 +184,6 @@ def subspace_state(
     which global symmetrizer actually fixes the constructed vector.
     """
     n = spec.particles
-    pi_minus_spin = symmetrizer(n, spec.spin_dim, Parity.FERMI)
-    pi_plus_spin = symmetrizer(n, spec.spin_dim, Parity.BOSE)
 
     if kind is SubspaceKind.SHARED_SPATIAL:
         c = as_vector(spatial_part)
@@ -203,7 +195,7 @@ def subspace_state(
         for mode, amp in enumerate(c):
             if abs(amp) == 0.0:
                 continue
-            chi = pi_minus_spin @ spins[mode]
+            chi = symmetrize(spins[mode], n, spec.spin_dim, Parity.FERMI)
             shared = np.zeros(mode_dim, dtype=complex)
             shared[_repeated_mode_index(mode, spec.num_modes, n)] = 1.0
             grouped += amp * kron(shared, chi)
@@ -215,15 +207,13 @@ def subspace_state(
         if chi.size != spec.spin_dim**n:
             raise ValueError("spin part has wrong dimension")
         if kind is SubspaceKind.SYMMETRIC_SPATIAL:
-            spatial_proj = symmetrizer(n, spec.num_modes, Parity.BOSE)
-            spin_proj = pi_minus_spin
+            spatial_parity, spin_parity = Parity.BOSE, Parity.FERMI
         elif kind is SubspaceKind.ANTISYMMETRIC_SPATIAL:
-            spatial_proj = symmetrizer(n, spec.num_modes, Parity.FERMI)
-            spin_proj = pi_plus_spin
+            spatial_parity, spin_parity = Parity.FERMI, Parity.BOSE
         else:
             raise ValueError(f"unknown subspace kind {kind!r}")
-        phi = _project_or_raise(phi, spatial_proj, "spatial")
-        chi = _project_or_raise(chi, spin_proj, "spin")
+        phi = _project_or_raise(symmetrize(phi, n, spec.num_modes, spatial_parity), "spatial")
+        chi = _project_or_raise(symmetrize(chi, n, spec.spin_dim, spin_parity), "spin")
         grouped = kron(phi, chi)
 
     raw = interleave_particles(grouped, spec)

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import frob, nth_root_dim, permute_factors
+from .linalg import frob, identity, nth_root_dim, permute_factors
 
 MAX_PARTICLES = 6
 
@@ -57,41 +57,43 @@ def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _basis_map(perm: Sequence[int], dim: int) -> np.ndarray:
-    """Flat index map of the factor-permuting unitary: e_i -> e_map[i].
-
-    Digit m of the image equals digit perm^{-1}(m) of the source (first
-    factor slowest).
-    """
-    n = len(perm)
-    total = dim**n
-    weights = dim ** np.arange(n - 1, -1, -1)
-    digits = (np.arange(total)[:, None] // weights[None, :]) % dim
-    inv = perm_inverse(perm)
-    new_digits = digits[:, list(inv)]
-    return new_digits @ weights
-
-
 def perm_unitary(perm: Sequence[int], dim: int) -> np.ndarray:
-    """The unitary permuting the n tensor factors of (C^dim)^n."""
+    """The unitary permuting the n tensor factors of (C^dim)^n: the identity
+    with the factors of its row index permuted."""
     n = len(perm)
-    total = dim**n
-    image = _basis_map(perm, dim)
-    mat = np.zeros((total, total), dtype=complex)
-    mat[image, np.arange(total)] = 1.0
-    return mat
+    rows = identity(dim**n).reshape((dim,) * n + (dim**n,))
+    return rows.transpose(perm_inverse(perm) + (n,)).reshape(dim**n, dim**n)
+
+
+def symmetrize(x, n: int, dim: int, parity: Parity) -> np.ndarray:
+    """(1/n!) sum over sigma of phase(sigma) U_sigma x: the symmetric (Bose) or
+    antisymmetric (Fermi) projection of a vector on (C^dim)^n, or of each
+    column of a matrix whose rows index that space.  Each U_sigma x is a
+    transposed view of the tensor axes, added straight into the running sum."""
+    x = np.asarray(x, dtype=complex)
+    tensor = x.reshape((dim,) * n + x.shape[1:])
+    tail = tuple(range(n, tensor.ndim))
+    acc = np.zeros_like(tensor)
+    for perm in enumerate_sn(n):
+        moved = tensor.transpose(perm_inverse(perm) + tail)
+        if parity.phase(perm) > 0:
+            acc += moved
+        else:
+            acc -= moved
+    acc /= math.factorial(n)
+    return acc.reshape(x.shape)
+
+
+def compress(op, n: int, dim: int, parity: Parity) -> np.ndarray:
+    """Pi op Pi for the (anti)symmetrizer Pi of (C^dim)^n: Pi applied to the rows,
+    then (Pi being real and symmetric) to the columns through the transpose."""
+    return symmetrize(symmetrize(op, n, dim, parity).T, n, dim, parity).T
 
 
 def symmetrizer(n: int, dim: int, parity: Parity) -> np.ndarray:
-    """Orthogonal projection onto the symmetric (Bose) or antisymmetric
-    (Fermi) subspace of (C^dim)^n: the sign-weighted average of all
-    factor-permuting unitaries."""
-    perms = enumerate_sn(n)
-    total = dim**n
-    acc = np.zeros((total, total), dtype=complex)
-    for perm in perms:
-        acc += parity.phase(perm) * perm_unitary(perm, dim)
-    return acc / math.factorial(n)
+    """Dense matrix of the symmetric (Bose) or antisymmetric (Fermi) projection
+    of (C^dim)^n: a reference construction, as ``symmetrize`` never forms it."""
+    return symmetrize(identity(dim**n), n, dim, parity)
 
 
 class ExchangeabilityResult(NamedTuple):
@@ -110,30 +112,19 @@ def is_exchangeable(op, n: int, dim: int, tol: float = 1e-10) -> Exchangeability
     for perm in enumerate_sn(n):
         if perm == tuple(range(n)):
             continue
-        # conjugation by a permutation unitary is an exact row/column reindexing
-        src = _basis_map(perm_inverse(perm), dim)
-        conj = op[np.ix_(src, src)]
-        worst = max(worst, frob(conj - op))
+        # conjugation by a permutation unitary is an exact reindexing
+        worst = max(worst, frob(permute_factors(op, (dim,) * n, perm) - op))
     return ExchangeabilityResult(worst <= tol, worst)
 
 
 def exchange_character(vec, n: int, dim: int | None = None, tol: float = 1e-10) -> str:
     """Classify a vector in (C^dim)^n as antisymmetric, symmetric, or neither,
-    according to which symmetrizer fixes it.  Each symmetrizer is applied as
-    the phase-weighted average of the n! factor permutations of ``vec``."""
+    according to which symmetrizer fixes it."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if dim is None:
         dim = nth_root_dim(vec.size, n)
-    dims = (dim,) * n
-    fermi = np.zeros_like(vec)
-    bose = np.zeros_like(vec)
-    for perm in enumerate_sn(n):
-        moved = permute_factors(vec, dims, perm)
-        fermi += perm_sign(perm) * moved
-        bose += moved
-    count = math.factorial(n)
-    if frob(fermi / count - vec) <= tol:
+    if frob(symmetrize(vec, n, dim, Parity.FERMI) - vec) <= tol:
         return ANTISYMMETRIC
-    if frob(bose / count - vec) <= tol:
+    if frob(symmetrize(vec, n, dim, Parity.BOSE) - vec) <= tol:
         return SYMMETRIC
     return NO_SYMMETRY

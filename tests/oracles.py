@@ -1,13 +1,20 @@
 """Brute-force reference implementations used as independent oracles.
 
 Everything here is written as explicit loops over the defining formulas, so
-the tests never check the library against itself.
+the tests never check the library against itself.  The one exception is
+``bipartition_by_dense_generators``, the dense sweep that the closed-form
+``bipartition_check`` replaced: it multiplies the dense lifted generators and
+the dense antisymmetrizer, which the acceptance criteria check against loops.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from spinsep.algebra import PROJECTION_TOL, BipartitionVerdict, hermitian_basis, local_generator
+from spinsep.linalg import as_matrix, frob, projection_defect
+from spinsep.symmetry import Parity, symmetrizer
 
 
 def kron_by_loops(a, b):
@@ -196,3 +203,48 @@ def reduced_spin_by_matrix_units(rho, regions, spin_dim, num_modes):
                 value += product_trace(rho_tensor, [slots[perm[k]] for k in range(n)])
             reduced[flatten(bra), flatten(ket)] = value
     return reduced
+
+
+def bipartition_by_dense_generators(p, q, spin_dim: int, tol: float = 1e-10) -> BipartitionVerdict:
+    """Sweep both local subalgebras over a Hermitian spin-operator basis and
+    report the largest commutator norm with the pair achieving it.
+
+    ``p`` and ``q`` must be orthogonal projections.  The same commutators
+    compressed to the antisymmetric two-particle subspace are reported
+    separately.
+    """
+    p = as_matrix(p)
+    q = as_matrix(q)
+    for name, mat in (("p", p), ("q", q)):
+        if projection_defect(mat) > PROJECTION_TOL:
+            raise ValueError(f"{name} is not an orthogonal projection within tolerance")
+
+    basis = hermitian_basis(spin_dim)
+    gens_1 = [(label, local_generator(1, op, p, q)) for label, op in basis]
+    gens_2 = [(label, local_generator(2, op, p, q)) for label, op in basis]
+    pi_minus = symmetrizer(2, p.shape[0] * spin_dim, Parity.FERMI)
+
+    max_norm = 0.0
+    witness: tuple[str, str] | None = None
+    max_proj = 0.0
+    proj_witness: tuple[str, str] | None = None
+    for label_a, gen_a in gens_1:
+        for label_b, gen_b in gens_2:
+            comm = gen_a @ gen_b - gen_b @ gen_a
+            norm = frob(comm)
+            if norm > max_norm:
+                max_norm = norm
+                witness = (label_a, label_b)
+            proj_norm = frob(pi_minus @ comm @ pi_minus)
+            if proj_norm > max_proj:
+                max_proj = proj_norm
+                proj_witness = (label_a, label_b)
+
+    commutes = max_norm <= tol
+    return BipartitionVerdict(
+        commutes=commutes,
+        max_commutator_norm=max_norm,
+        witness=None if commutes else witness,
+        projected_max_norm=max_proj,
+        projected_witness=None if max_proj <= tol else proj_witness,
+    )

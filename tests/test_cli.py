@@ -200,6 +200,69 @@ def test_malformed_expectation_values_fail_validation(tmp_path, file, key, value
     assert not list(tmp_path.glob("*.report.json"))
 
 
+TRACE_TWO = [[0.5 if row == col else 0 for col in range(4)] for row in range(4)]
+
+
+@pytest.mark.parametrize(
+    "file, path, value, field",
+    [
+        ("antisymmetric_space_pair.json", ["state", "spatial"], [0, 1, -1], "state.spatial"),
+        ("symmetric_space_pair.json", ["state", "spin"], [0, 1, 1, 0, 0], "state.spin"),
+        ("shared_mode_pair.json", ["state", "mode_amplitudes"], [1, 0, 0], "state.mode_amplitudes"),
+        ("shared_mode_pair.json", ["state", "spin"], [0, 1], "state.spin"),
+        ("shared_mode_pair.json", ["state", "spins"], [[0, 1, -1, 0]], "state.spins"),
+        (
+            "two_fermions_disjoint.json",
+            ["state"],
+            {"kind": "embed_mixed", "target": TRACE_TWO},
+            "state.target",
+        ),
+        (
+            "two_fermions_disjoint.json",
+            ["state"],
+            {"kind": "embed_mixed", "target": [[1, 0], [0, 0]]},
+            "state.target",
+        ),
+        (
+            "two_fermions_disjoint.json",
+            ["state"],
+            {"kind": "embed_pure", "target": [0, 1, -1, 0], "regions": ["left", "left"]},
+            "state.regions",
+        ),
+        (
+            "two_fermions_disjoint.json",
+            ["state"],
+            {"kind": "embed_pure", "target": [0, 0, 0, 0]},
+            "state.target",
+        ),
+        (
+            "overlapping_pair_mixture.json",
+            ["state", "terms", 1, "factor_2", "amplitudes"],
+            [0.6, 0, 0, 0.8],
+            "state.terms[1].factor_2.amplitudes",
+        ),
+        ("../overlap_sweep.json", ["analyses", 1, "spin_1"], [0, 0], "overlap_sweep.spin_1"),
+        ("../overlap_sweep.json", ["analyses", 1, "spin_1"], [1, 0, 0], "overlap_sweep.spin_1"),
+        ("../overlap_sweep.json", ["analyses", 1, "spin_2"], [0, 0, 1], "overlap_sweep.spin_2"),
+    ],
+)
+def test_malformed_state_specs_fail_validation(tmp_path, file, path, value, field):
+    # each fault is in the scenario, not in the construction, so it exits 3 naming the field
+    scenario = json.loads((CLAIMS_DIR / file).read_text(encoding="utf-8"))
+    parent = scenario
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps(scenario), encoding="utf-8")
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_scenario_file(malformed, out_dir=tmp_path, echo=lines.append)
+    assert code == EXIT_VALIDATION
+    assert lines == [lines[0]] and lines[0].startswith(f"validation error: {field}:")
+
+
 def test_run_scenario_writes_report_sidecar(tmp_path):
     path = tmp_path / "minimal.json"
     path.write_text(json.dumps(_minimal_scenario()), encoding="utf-8")

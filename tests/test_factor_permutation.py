@@ -1,27 +1,42 @@
 """The factor-permutation kernels against the formulations they replace: the
-reduction against the matrix-unit probe, and the exchange check against the
-dense symmetrizers."""
+reduction against the matrix-unit probe, ``symmetrize``, ``compress`` and the
+exchange check against the dense symmetrizers, and the closed-form algebra
+sweep against the dense generators."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsep.algebra import bipartition_check, hermitian_basis, local_generator
 from spinsep.linalg import frob
 from spinsep.reduction import reduced_spin_probe
+from spinsep.runner import EXIT_OK, run_scenario_file, run_suite
 from spinsep.spatial import SpatialRegion
 from spinsep.symmetry import (
     ANTISYMMETRIC,
     NO_SYMMETRY,
     SYMMETRIC,
     Parity,
+    compress,
     exchange_character,
+    symmetrize,
     symmetrizer,
 )
 
-from oracles import rand_density, rand_unit, reduced_spin_by_matrix_units
+from oracles import (
+    bipartition_by_dense_generators,
+    rand_density,
+    rand_matrix,
+    rand_unit,
+    reduced_spin_by_matrix_units,
+)
 
 KERNEL_TOL = 1e-12
+SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "src" / "spinsep" / "scenarios"
 
 
 @st.composite
@@ -39,19 +54,34 @@ def reduction_cases(draw):
         ]
     seed = draw(st.integers(0, 2**32 - 1))
     rank = draw(st.integers(1, 3))
-    return n, d_l, d_h, modes, seed, rank
+    # the (anti)symmetrizer case: particles, factor dimension, parity, matrix columns
+    projection = (
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from(list(Parity))),
+        draw(st.integers(1, 3)),
+    )
+    return n, d_l, d_h, modes, seed, rank, projection
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(reduction_cases())
 def test_reduction_matches_matrix_unit_probe(case):
-    n, d_l, d_h, modes, seed, rank = case
+    n, d_l, d_h, modes, seed, rank, projection = case
     rng = np.random.default_rng(seed)
     rho = rand_density(rng, (d_l * d_h) ** n, rank)
     regions = [SpatialRegion(m) for m in modes]
     got = reduced_spin_probe(rho, regions, d_h, d_l).matrix
     want = reduced_spin_by_matrix_units(rho, regions, d_h, d_l)
     assert np.max(np.abs(got - want)) <= KERNEL_TOL
+
+    # symmetrize and compress against the dense projection Pi
+    n, dim, parity, cols = projection
+    pi = symmetrizer(n, dim, parity)
+    vec, mat, op = rand_unit(rng, dim**n), rand_matrix(rng, dim**n, cols), rand_matrix(rng, dim**n)
+    assert np.max(np.abs(symmetrize(vec, n, dim, parity) - pi @ vec)) <= KERNEL_TOL
+    assert np.max(np.abs(symmetrize(mat, n, dim, parity) - pi @ mat)) <= KERNEL_TOL
+    assert np.max(np.abs(compress(op, n, dim, parity) - pi @ op @ pi)) <= KERNEL_TOL
 
 
 def test_reduction_matches_matrix_unit_probe_four_particles():
@@ -93,3 +123,72 @@ def test_exchange_character_matches_dense_symmetrizers(n, dim):
         assert exchange_character(candidates["bose"], n, dim) == SYMMETRIC
     if n <= dim:
         assert exchange_character(candidates["fermi"], n, dim) == ANTISYMMETRIC
+
+
+def _rotated_projections(rng, d_l, relation):
+    """P = U D1 U^dag and Q = U D2 U^dag for a random unitary U and 0/1
+    diagonals D1, D2 whose supports are disjoint, share one index, or agree."""
+    u, _ = np.linalg.qr(rand_matrix(rng, d_l))
+    half = d_l // 2
+    first = range(half)
+    second = {
+        "disjoint": range(half, d_l),
+        "overlapping": range(half - 1, d_l),
+        "identical": first,
+    }[relation]
+
+    def projection(support):
+        return u @ np.diag(np.isin(np.arange(d_l), support).astype(complex)) @ u.conj().T
+
+    return projection(first), projection(second)
+
+
+def _dense_commutator_norm(p, q, d_h, pair, projected):
+    ops = dict(hermitian_basis(d_h))
+    g1, g2 = local_generator(1, ops[pair[0]], p, q), local_generator(2, ops[pair[1]], p, q)
+    comm = g1 @ g2 - g2 @ g1
+    if projected:
+        pi = symmetrizer(2, p.shape[0] * d_h, Parity.FERMI)
+        comm = pi @ comm @ pi
+    return frob(comm)
+
+
+@pytest.mark.parametrize("relation", ["disjoint", "overlapping", "identical"])
+@pytest.mark.parametrize("d_l, d_h", [(2, 2), (4, 3), (6, 3)])
+def test_bipartition_check_matches_dense_generators(d_l, d_h, relation):
+    rng = np.random.default_rng(100 * d_l + 10 * d_h + len(relation))
+    p, q = _rotated_projections(rng, d_l, relation)
+    got = bipartition_check(p, q, d_h)
+    want = bipartition_by_dense_generators(p, q, d_h)
+    assert got.commutes == want.commutes == (relation == "disjoint")
+    assert abs(got.max_commutator_norm - want.max_commutator_norm) <= KERNEL_TOL
+    assert abs(got.projected_max_norm - want.projected_max_norm) <= KERNEL_TOL
+    sweep = [(a, b) for a, _ in hermitian_basis(d_h) for b, _ in hermitian_basis(d_h)]
+    for got_pair, want_pair, want_norm, projected in (
+        (got.witness, want.witness, want.max_commutator_norm, False),
+        (got.projected_witness, want.projected_witness, want.projected_max_norm, True),
+    ):
+        if got_pair == want_pair:
+            continue
+        # Relabelling the spin levels ties several pairs at the maximum, and the dense
+        # sweep keeps whichever rounding favours; the closed form reports the first.
+        assert got_pair is not None and want_pair is not None
+        assert sweep.index(got_pair) < sweep.index(want_pair)
+        assert abs(_dense_commutator_norm(p, q, d_h, got_pair, projected) - want_norm) <= KERNEL_TOL
+
+
+def test_runtime_paths_use_no_dense_reference_builders(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense reference builder ran on a runtime path")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "spinsep" or name.startswith("spinsep."):
+            for builder in ("symmetrizer", "perm_unitary", "local_generator"):
+                if hasattr(module, builder):
+                    monkeypatch.setattr(module, builder, refuse)
+                    patched += 1
+    assert patched >= 6  # the package and the two defining modules
+    claims, sweep = SCENARIOS_DIR / "claims", SCENARIOS_DIR / "overlap_sweep.json"
+    assert run_suite(claims, out_dir=tmp_path, echo=lambda *a: None) == EXIT_OK
+    assert run_scenario_file(sweep, out_dir=tmp_path, echo=lambda *a: None) == EXIT_OK
