@@ -9,6 +9,8 @@ over permutations sigma of S_n:
 one mode trace restricted to the regions in the order sigma assigns them,
 followed by a permutation of the n spin factors.  Entry (j, i) of ``R`` is
 the expectation of the lifted product whose k-th slot is ``P_k x E_{i_k j_k}``.
+A pure state enters as its vector psi (rho = |psi><psi|), so its dense
+density matrix is never formed.
 For pairwise disjoint, fully localizing regions the result is a genuine
 density matrix with trace equal to the joint localization probability; for
 overlapping regions the same formula still applies and the diagnostics
@@ -25,6 +27,7 @@ import numpy as np
 
 from .linalg import (
     as_matrix,
+    as_vector,
     dagger,
     frob,
     identity,
@@ -74,27 +77,36 @@ class SymmetryVerdict(NamedTuple):
     symmetric_defect: float
 
 
+def _state_operand(state) -> np.ndarray:
+    """A pure state vector (1-D) or a square density matrix (2-D), complex and finite."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        return as_vector(state)
+    state = as_matrix(state)
+    if state.shape[0] != state.shape[1]:
+        raise ValueError("state matrix must be square")
+    return state
+
+
 def reduced_spin_probe(
-    rho,
+    state,
     regions: Sequence[SpatialRegion],
     spin_dim: int,
     num_modes: int | None = None,
 ) -> RawReduced:
-    """Reduced spin matrix of ``rho`` measured in the given regions.
+    """Reduced spin matrix of ``state`` measured in the given regions.
 
-    ``rho`` acts on the interleaved n-particle space; ``regions`` assigns one
-    spatial region per measurement slot.  For each permutation sigma one
-    contraction traces the modes of particle k over region sigma(k), and the
-    spin factors of that partial result are permuted by sigma before they
-    are summed.  Linear in ``rho``.
+    ``state`` is a state vector psi or a density matrix rho on the interleaved
+    n-particle space; ``regions`` assigns one spatial region per measurement
+    slot.  For each permutation sigma one contraction traces the modes of
+    particle k over region sigma(k), and the spin factors of that partial
+    result are permuted by sigma before they are summed.  Linear in rho.
     """
-    rho = as_matrix(rho)
+    state = _state_operand(state)
     n = len(regions)
     if not 1 <= n <= PROBE_PARTICLE_CAP:
         raise ValueError(f"probe sweep supports 1..{PROBE_PARTICLE_CAP} particles")
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError("state matrix must be square")
-    one_dim = nth_root_dim(rho.shape[0], n)
+    one_dim = nth_root_dim(state.shape[0], n)
     if num_modes is None:
         if one_dim % spin_dim:
             raise ValueError(
@@ -105,16 +117,20 @@ def reduced_spin_probe(
         raise ValueError("mode count and spin dimension do not match the state")
 
     masks = [np.diag(projector(r, num_modes)) for r in regions]
-    rho_tensor = rho.reshape((num_modes, spin_dim) * (2 * n))
+    shape = (num_modes, spin_dim) * n
     # labels: mode of particle k -> k, row spin -> n + k, column spin -> 2n + k;
     # the mode label repeats on both sides, so each mode index is traced
-    rho_labels = [lab for k in range(n) for lab in (k, n + k)]
-    rho_labels += [lab for k in range(n) for lab in (k, 2 * n + k)]
+    row_labels = [lab for k in range(n) for lab in (k, n + k)]
+    col_labels = [lab for k in range(n) for lab in (k, 2 * n + k)]
+    if state.ndim == 1:  # rho = psi psi^dag: the row side is psi, the column side its conjugate
+        operands = [state.reshape(shape), row_labels, state.conj().reshape(shape), col_labels]
+    else:
+        operands = [state.reshape(shape * 2), row_labels + col_labels]
     spin_total = spin_dim**n
     spin_dims = (spin_dim,) * n
     reduced = np.zeros((spin_total, spin_total), dtype=complex)
     for perm in enumerate_sn(n):
-        args: list = [rho_tensor, rho_labels]
+        args = list(operands)
         for k in range(n):
             args.extend([masks[perm[k]], [k]])
         args.append(list(range(n, 3 * n)))
@@ -184,14 +200,23 @@ def reduced_spin_closed_form(
     return gram_sum / denom
 
 
-def trace_out_spatial(rho, spec: SpaceSpec) -> np.ndarray:
+def trace_out_spatial(state, spec: SpaceSpec) -> np.ndarray:
     """Ordinary partial trace over every spatial factor of the interleaved
-    layout, keeping the n spin factors in particle order."""
-    rho = as_matrix(rho)
-    if rho.shape != (spec.total_dim, spec.total_dim):
+    layout, keeping the n spin factors in particle order.
+
+    ``state`` is a state vector psi or a density matrix rho.  For psi, the
+    amplitudes arranged as M[modes, spins] give the result M^T conj(M).
+    """
+    state = _state_operand(state)
+    if state.shape[0] != spec.total_dim:
         raise ValueError("state dimension does not match the space description")
-    keep = [2 * k + 1 for k in range(spec.particles)]
-    return partial_trace(rho, spec.factor_dims, keep)
+    n = spec.particles
+    if state.ndim == 2:
+        return partial_trace(state, spec.factor_dims, [2 * k + 1 for k in range(n)])
+    modes_first = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    m = state.reshape(spec.factor_dims).transpose(modes_first)
+    m = m.reshape(spec.num_modes**n, spec.spin_dim**n)
+    return m.T @ m.conj()
 
 
 def classify_symmetry(

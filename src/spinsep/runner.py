@@ -15,8 +15,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .scenario import (
     ANALYSES,
     EXPECTATIONS,
@@ -83,14 +81,13 @@ def execute_scenario(scenario: Scenario) -> ScenarioOutcome:
     start = time.perf_counter()
     vector, construction = build_state(scenario)
     timings.append(("construction", time.perf_counter() - start))
-    rho = None if vector is None else np.outer(vector, vector.conj())
 
     for opts in scenario.analyses:
         kind = opts["analysis"]
         analysis = ANALYSES[kind]
         start = time.perf_counter()
         try:
-            results[kind] = analysis.run(scenario, opts, rho, results)
+            results[kind] = analysis.run(scenario, opts, vector, results)
             side_files.update(analysis.side_files(results[kind]))
         except ConstructionError as exc:
             results[kind] = {"error": str(exc)}

@@ -33,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .algebra import bipartition_check
-from .embedding import embed_mixed, embed_pure
+from .embedding import embed_mixed, embed_pure, embedding_plan
 from .entanglement import (
     ENTANGLED,
     PPT_INCONCLUSIVE,
@@ -43,7 +43,7 @@ from .entanglement import (
     schmidt,
     von_neumann_entropy,
 )
-from .linalg import check_density_matrix, frob, normalize
+from .linalg import frob, normalize
 from .reduction import (
     PROBE_PARTICLE_CAP,
     classify_symmetry,
@@ -89,6 +89,7 @@ class ConstructionError(Exception):
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _MAX_SEED = 2**64 - 1
+MAX_ARRAY_ENTRIES = 2**24  # 268 MB of complex entries: the dense rho of a dim-4096 state
 SWEEP_CSV_HEADER = "overlap,trace,min_eig,negativity,entropy"
 
 
@@ -179,6 +180,13 @@ def _checked(build: Callable[[], Any], where: str):
         raise ScenarioValidationError(f"{where}: {exc}") from exc
 
 
+def _within_budget(entries: int, what: str) -> None:
+    _require(
+        entries <= MAX_ARRAY_ENTRIES,
+        f"space: {what} has {entries} entries, above the limit of {MAX_ARRAY_ENTRIES}",
+    )
+
+
 def _positive_int(obj, key: str, where: str) -> int:
     value = obj.get(key)
     _require(is_integer(value) and value >= 1, f"{where}.{key}: expected a positive integer")
@@ -222,13 +230,23 @@ def _factor_from_spec(obj, scenario: Scenario, where: str) -> LocalizedFactor:
     return LocalizedFactor(wave, spin)
 
 
-def _embed_regions(scenario: Scenario, spec: dict) -> tuple[SpatialRegion, SpatialRegion]:
+def _embed_regions(
+    scenario: Scenario, spec: dict, rank: int = 1, where: str = "state.regions"
+) -> tuple[SpatialRegion, SpatialRegion]:
+    """The two embedding regions, each with one mode per eigenvector of a rank-``rank``
+    target; ``where`` names the field a shortfall is reported against."""
     names = spec.get("regions", scenario.region_names[:2])
     _require(
         isinstance(names, list) and len(names) == 2, "state.regions: expected two region names"
     )
     r1, r2 = scenario.region(names[0]), scenario.region(names[1])
     _require(r1.disjoint_from(r2), "state.regions: embedding regions must be disjoint")
+    for name, region in zip(names, (r1, r2)):
+        _require(
+            len(region.modes) >= rank,
+            f"{where}: region {name!r} has {len(region.modes)} modes "
+            f"but the target has rank {rank}",
+        )
     return r1, r2
 
 
@@ -300,8 +318,8 @@ def _build_embed_pure(scenario: Scenario, spec: dict):
 def _build_embed_mixed(scenario: Scenario, spec: dict):
     target = decode_matrix(spec.get("target"), "state.target")
     _require(target.shape == (scenario.space.spin_dim**2,) * 2, "state.target: wrong dimension")
-    _checked(lambda: check_density_matrix(target), "state.target")
-    r1, r2 = _embed_regions(scenario, spec)
+    plan = _checked(lambda: embedding_plan(target), "state.target")
+    r1, r2 = _embed_regions(scenario, spec, plan.rank)
     return embed_mixed(target, r1, r2, scenario.parity, scenario.space.num_modes)
 
 
@@ -309,11 +327,11 @@ def _build_embed_random(scenario: Scenario, spec: dict):
     dim = scenario.space.spin_dim**2
     rank = spec.get("rank", dim)
     _require(is_integer(rank) and 1 <= rank <= dim, "state.rank: out of range")
+    r1, r2 = _embed_regions(scenario, spec, rank, "state.rank")
     rng = np.random.default_rng(scenario.seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     sigma = g @ g.conj().T
     sigma = sigma / np.trace(sigma).real
-    r1, r2 = _embed_regions(scenario, spec)
     return embed_mixed(sigma, r1, r2, scenario.parity, scenario.space.num_modes)
 
 
@@ -341,7 +359,7 @@ STATES = {
 # ---------------------------------------------------------------- analyses
 
 
-def _run_reduction(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
+def _run_reduction(scenario: Scenario, opts: dict, state, results: dict) -> dict:
     space = scenario.space
     names = opts.get("regions", scenario.region_names[: space.particles])
     _require(
@@ -349,7 +367,7 @@ def _run_reduction(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
         "analysis.regions: expected one region per particle",
     )
     regions = [scenario.region(n) for n in names]
-    raw = reduced_spin_probe(rho, regions, space.spin_dim, space.num_modes)
+    raw = reduced_spin_probe(state, regions, space.spin_dim, space.num_modes)
     rep = reduction_report(raw, space.particles, space.spin_dim)
     return {
         "raw_matrix": encode_matrix(raw.matrix),
@@ -362,9 +380,9 @@ def _run_reduction(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
     }
 
 
-def _run_spatial_trace(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
+def _run_spatial_trace(scenario: Scenario, opts: dict, state, results: dict) -> dict:
     space = scenario.space
-    reduced = trace_out_spatial(rho, space)
+    reduced = trace_out_spatial(state, space)
     verdict = classify_symmetry(reduced, space.particles, space.spin_dim)
     return {
         "matrix": encode_matrix(reduced),
@@ -375,7 +393,7 @@ def _run_spatial_trace(scenario: Scenario, opts: dict, rho, results: dict) -> di
     }
 
 
-def _run_entanglement(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
+def _run_entanglement(scenario: Scenario, opts: dict, state, results: dict) -> dict:
     space = scenario.space
     source = opts.get("source")
     if source is None:
@@ -408,7 +426,7 @@ def _run_entanglement(scenario: Scenario, opts: dict, rho, results: dict) -> dic
     return out
 
 
-def _run_algebra(scenario: Scenario, opts: dict, rho, results: dict) -> list[dict]:
+def _run_algebra(scenario: Scenario, opts: dict, state, results: dict) -> list[dict]:
     space = scenario.space
     pairs = opts.get("pairs", [[scenario.region_names[0], scenario.region_names[1]]])
     _require(
@@ -435,7 +453,7 @@ def _run_algebra(scenario: Scenario, opts: dict, rho, results: dict) -> list[dic
     return entries
 
 
-def _run_overlap_sweep(scenario: Scenario, opts: dict, rho, results: dict) -> dict:
+def _run_overlap_sweep(scenario: Scenario, opts: dict, state, results: dict) -> dict:
     space = scenario.space
     _require(space.spin_dim >= 2, "overlap_sweep: needs at least two spin levels")
     steps = opts.get("steps", 21)
@@ -450,6 +468,7 @@ def _run_overlap_sweep(scenario: Scenario, opts: dict, rho, results: dict) -> di
 
     m1 = region1.sorted_modes()[0]
     m2 = region2.sorted_modes()[0]
+    _require(m1 != m2, f"overlap_sweep.region_2: starts at mode {m2}, as region_1 does")
     f_wave = mode_wavefunction(m1, space.num_modes)
 
     rows: list[list[float | None]] = []
@@ -459,13 +478,12 @@ def _run_overlap_sweep(scenario: Scenario, opts: dict, rho, results: dict) -> di
         g_amps[m1] = math.sin(theta)
         g_amps[m2] = math.cos(theta)
         g_wave = Wavefunction(g_amps)
-        state, _ = two_particle_localized(
+        pair, _ = two_particle_localized(
             LocalizedFactor(f_wave, spin_1),
             LocalizedFactor(g_wave, spin_2),
             scenario.parity,
         )
-        pair_rho = np.outer(state, state.conj())
-        raw = reduced_spin_probe(pair_rho, [region1, region2], space.spin_dim, space.num_modes)
+        raw = reduced_spin_probe(pair, [region1, region2], space.spin_dim, space.num_modes)
         rep = reduction_report(raw, 2, space.spin_dim)
         neg: float | None = None
         ent: float | None = None
@@ -483,14 +501,20 @@ def _sweep_csv(entry: dict) -> dict[str, list[str]]:
     return {entry["csv"]: lines}
 
 
+def _spin_matrix_entries(space: SpaceSpec) -> int:
+    return space.spin_dim ** (2 * space.particles)
+
+
 @dataclass(frozen=True)
 class Analysis:
-    """``run(scenario, options, rho, results so far)`` returns the report entry, which
-    ``summary`` and ``side_files`` render; parsing checks the rest, naming it ``title``."""
+    """``run(scenario, options, state vector, results so far)`` returns the report entry, which
+    ``summary`` and ``side_files`` render; parsing checks the rest, naming it ``title``.
+    ``array_entries`` is the size of the largest array the analysis allocates."""
 
     run: Callable[[Scenario, dict, Any, dict], Any]
     summary: Callable[[Any], str]
     title: str
+    array_entries: Callable[[SpaceSpec], int]
     side_files: Callable[[Any], dict[str, list[str]]] = lambda entry: {}
     needs_state: bool = False
     needs_parity: bool = False
@@ -504,6 +528,7 @@ ANALYSES = {
         lambda e: f"  reduction: trace {e['trace']:.12g}, min eig "
         f"{e['min_eigenvalue']:.3e}, class {e['symmetry_class']}",
         "the probe reduction",
+        _spin_matrix_entries,
         needs_state=True,
         min_regions=lambda space: space.particles,
         particle_cap=PROBE_PARTICLE_CAP,
@@ -512,6 +537,7 @@ ANALYSES = {
         _run_spatial_trace,
         lambda e: f"  spatial_trace: class {e['symmetry_class']}",
         "the spatial trace",
+        _spin_matrix_entries,
         needs_state=True,
     ),
     "entanglement": Analysis(
@@ -519,6 +545,7 @@ ANALYSES = {
         lambda e: f"  entanglement: negativity {e['negativity']:.12g}, entropy "
         f"{e['entropy_bits']:.12g} bits, {e['separability']}",
         "the entanglement analysis",
+        _spin_matrix_entries,
         needs_state=True,
     ),
     "algebra": Analysis(
@@ -529,12 +556,14 @@ ANALYSES = {
             for e in entries
         ),
         "the algebra analysis",
+        lambda space: space.one_particle_dim**4,  # a commutator on the two-particle space
         min_regions=lambda space: 2,
     ),
     "overlap_sweep": Analysis(
         _run_overlap_sweep,
         lambda e: f"  overlap_sweep: {len(e['rows'])} steps -> {e['csv']}",
         "the overlap sweep",
+        lambda space: max(space.one_particle_dim**2, space.spin_dim**4),  # two-particle states
         side_files=_sweep_csv,
         needs_parity=True,
         min_regions=lambda space: 2,
@@ -699,6 +728,7 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
             _require(seed is not None, "seed: required for randomized scenarios")
         if state.needs_parity:
             _require(parity is not None, "parity: required to build this state")
+        _within_budget(space.total_dim, "the state vector")
 
     analyses_obj = obj.get("analyses")
     _require(isinstance(analyses_obj, list) and analyses_obj, "analyses: required nonempty array")
@@ -723,6 +753,7 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         )
         if analysis.needs_parity:
             _require(parity is not None, f"parity: required by {analysis.title}")
+        _within_budget(analysis.array_entries(space), f"the largest array of {analysis.title}")
 
     expectations_obj = obj.get("expectations", {})
     _require(isinstance(expectations_obj, dict), "expectations: expected an object")

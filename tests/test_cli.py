@@ -17,6 +17,7 @@ from spinsep.runner import (
     run_suite,
 )
 from spinsep.scenario import (
+    MAX_ARRAY_ENTRIES,
     ScenarioValidationError,
     decode_complex,
     decode_matrix,
@@ -100,6 +101,53 @@ def test_parse_scenario_diagnostics_name_offending_field():
         parse_scenario(_minimal_scenario(state={"kind": ["localized"]}))
     with pytest.raises(ScenarioValidationError, match="analyses\\[0\\].analysis"):
         parse_scenario(_minimal_scenario(analyses=[{"analysis": {}}]))
+
+
+def _no_state(space, analyses):
+    obj = _minimal_scenario(space=space, analyses=analyses)
+    del obj["state"]
+    return obj
+
+
+def _nine_spin_levels(analysis):
+    # a 9^4-dim spin space: every spin-matrix analysis allocates 9^8 entries
+    return _minimal_scenario(
+        space={"modes": 1, "spin_levels": 9, "particles": 4},
+        regions=[{"name": f"r{k}", "modes": [0]} for k in range(4)],
+        analyses=[analysis],
+    )
+
+
+@pytest.mark.parametrize(
+    "obj, what",
+    [
+        # 30^6 amplitudes: construction would allocate 11.7 GB
+        (_minimal_scenario(space={"modes": 10, "spin_levels": 3, "particles": 6}), "state vector"),
+        (_nine_spin_levels("reduction"), "probe reduction"),
+        (_nine_spin_levels("spatial_trace"), "spatial trace"),
+        (_nine_spin_levels("entanglement"), "entanglement analysis"),
+        # the sweep builds two-particle states whatever the scenario's particle count
+        (_no_state({"modes": 5000, "spin_levels": 2, "particles": 1}, ["overlap_sweep"]), "sweep"),
+        # commutators on the (200 * 200)-dim two-particle space
+        (_no_state({"modes": 100, "spin_levels": 2, "particles": 2}, ["algebra"]), "algebra"),
+    ],
+)
+def test_parse_scenario_rejects_arrays_above_the_size_budget(obj, what):
+    with pytest.raises(ScenarioValidationError, match=what) as caught:
+        parse_scenario(obj)
+    assert str(caught.value).startswith("space: ")
+    assert str(MAX_ARRAY_ENTRIES) in str(caught.value)
+
+
+def test_parse_scenario_accepts_arrays_at_the_size_budget():
+    # a 2^24-entry state vector is within the budget, one more mode is not
+    at_limit = _minimal_scenario(
+        space={"modes": 4096, "spin_levels": 1, "particles": 2}, analyses=["spatial_trace"]
+    )
+    assert parse_scenario(at_limit).space.total_dim == MAX_ARRAY_ENTRIES
+    at_limit["space"]["modes"] = 4097
+    with pytest.raises(ScenarioValidationError, match="space: the state vector"):
+        parse_scenario(at_limit)
 
 
 def test_random_scenarios_require_seed():
@@ -201,6 +249,7 @@ def test_malformed_expectation_values_fail_validation(tmp_path, file, key, value
 
 
 TRACE_TWO = [[0.5 if row == col else 0 for col in range(4)] for row in range(4)]
+RANK_TWO = [[0.5 if row == col in (0, 3) else 0 for col in range(4)] for row in range(4)]
 
 
 @pytest.mark.parametrize(
@@ -244,6 +293,8 @@ TRACE_TWO = [[0.5 if row == col else 0 for col in range(4)] for row in range(4)]
         ("../overlap_sweep.json", ["analyses", 1, "spin_1"], [0, 0], "overlap_sweep.spin_1"),
         ("../overlap_sweep.json", ["analyses", 1, "spin_1"], [1, 0, 0], "overlap_sweep.spin_1"),
         ("../overlap_sweep.json", ["analyses", 1, "spin_2"], [0, 0, 1], "overlap_sweep.spin_2"),
+        # both regions start at mode 0, so the sweep has no second mode to move into
+        ("../overlap_sweep.json", ["regions", 1, "modes"], [0], "overlap_sweep.region_2"),
     ],
 )
 def test_malformed_state_specs_fail_validation(tmp_path, file, path, value, field):
@@ -261,6 +312,22 @@ def test_malformed_state_specs_fail_validation(tmp_path, file, path, value, fiel
         code = run_scenario_file(malformed, out_dir=tmp_path, echo=lines.append)
     assert code == EXIT_VALIDATION
     assert lines == [lines[0]] and lines[0].startswith(f"validation error: {field}:")
+
+
+@pytest.mark.parametrize(
+    "state, field",
+    [
+        ({"kind": "embed_random", "rank": 2}, "state.rank"),
+        ({"kind": "embed_mixed", "target": RANK_TWO}, "state.regions"),
+    ],
+)
+def test_embedding_regions_smaller_than_the_rank_fail_validation(tmp_path, state, field):
+    # one mode per region cannot hold a rank-2 target: a fault of the spec, found before drawing
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps(_minimal_scenario(state=state, seed=7)), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(malformed, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [f"validation error: {field}: region 'left' has 1 modes but the target has rank 2"]
 
 
 def test_run_scenario_writes_report_sidecar(tmp_path):

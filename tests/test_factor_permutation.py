@@ -1,7 +1,8 @@
 """The factor-permutation kernels against the formulations they replace: the
-reduction against the matrix-unit probe, ``symmetrize``, ``compress`` and the
-exchange check against the dense symmetrizers, and the closed-form algebra
-sweep against the dense generators."""
+reduction of a density matrix or of a state vector against the matrix-unit
+probe, the spatial trace of a state vector against that of its density
+matrix, ``symmetrize``, ``compress`` and the exchange check against the dense
+symmetrizers, and the closed-form algebra sweep against the dense generators."""
 
 import sys
 from pathlib import Path
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from spinsep.algebra import bipartition_check, hermitian_basis, local_generator
 from spinsep.linalg import frob
-from spinsep.reduction import reduced_spin_probe
+from spinsep.reduction import reduced_spin_probe, trace_out_spatial
 from spinsep.runner import EXIT_OK, run_scenario_file, run_suite
-from spinsep.spatial import SpatialRegion
+from spinsep.spatial import SpaceSpec, SpatialRegion
 from spinsep.symmetry import (
     ANTISYMMETRIC,
     NO_SYMMETRY,
@@ -82,6 +83,16 @@ def test_reduction_matches_matrix_unit_probe(case):
     assert np.max(np.abs(symmetrize(vec, n, dim, parity) - pi @ vec)) <= KERNEL_TOL
     assert np.max(np.abs(symmetrize(mat, n, dim, parity) - pi @ mat)) <= KERNEL_TOL
     assert np.max(np.abs(compress(op, n, dim, parity) - pi @ op @ pi)) <= KERNEL_TOL
+
+    # both kernels on a pure state vector against its dense density matrix
+    n = len(regions)  # the projection case above rebinds n
+    psi = rand_unit(rng, (d_l * d_h) ** n)
+    rho = np.outer(psi, psi.conj())
+    got = reduced_spin_probe(psi, regions, d_h, d_l).matrix
+    want = reduced_spin_by_matrix_units(rho, regions, d_h, d_l)
+    assert np.max(np.abs(got - want)) <= KERNEL_TOL
+    spec = SpaceSpec(d_l, d_h, n)
+    assert np.max(np.abs(trace_out_spatial(psi, spec) - trace_out_spatial(rho, spec))) <= KERNEL_TOL
 
 
 def test_reduction_matches_matrix_unit_probe_four_particles():

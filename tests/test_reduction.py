@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from spinsep.reduction import (
     reduction_report,
     trace_out_spatial,
 )
+from spinsep.runner import execute_scenario
+from spinsep.scenario import parse_scenario
 from spinsep.spatial import SpaceSpec, SpatialRegion, mode_wavefunction, projector, wavefunction
 from spinsep.states import (
     LocalizedFactor,
@@ -300,3 +303,33 @@ def test_reduction_report_gating():
     rep = reduction_report(raw, 2, 2)
     assert rep.normalized is None and not rep.valid_state
     assert rep.symmetry_class is None
+
+
+def test_pure_state_scenario_never_forms_the_density_matrix():
+    # four fermions in four of four modes with two spin levels: the state has 4096
+    # amplitudes, its dense density matrix 4096^2 entries (268 MB), which no analysis
+    # of a pure state may allocate
+    spins = [[1, 0], [0, 1], [1, 1], [1, -1]]
+    obj = {
+        "name": "dim_4096",
+        "space": {"modes": 4, "spin_levels": 2, "particles": 4},
+        "parity": "fermi",
+        "regions": [{"name": f"r{k}", "modes": [k]} for k in range(4)],
+        "state": {
+            "kind": "localized",
+            "factors": [{"mode": k, "spin": spin} for k, spin in enumerate(spins)],
+        },
+        "analyses": ["reduction", "spatial_trace", "entanglement"],
+    }
+    scenario = parse_scenario(obj)
+    tracemalloc.start()
+    try:
+        report = execute_scenario(scenario).report
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["construction"]["dim"] == 4096
+    assert report["construction"]["statistics"] == ANTISYMMETRIC
+    assert all("error" not in entry for entry in report["results"].values())
+    assert abs(report["results"]["reduction"]["trace"] - 1.0) < 1e-12
+    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
