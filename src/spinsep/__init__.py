@@ -11,20 +11,14 @@ from .algebra import BipartitionVerdict, bipartition_check, commutator_expansion
 from .embedding import EmbeddingPlan, embed_mixed, embed_pure, embedding_plan
 from .entanglement import (
     SchmidtData,
-    is_separable_pure,
     negativity,
     partial_transpose,
     ppt_classification,
     schmidt,
     von_neumann_entropy,
 )
-from .lift import lift_one_particle, lift_product, spatial_projector
-from .linalg import (
-    hermitian_spectrum,
-    kron,
-    partial_trace,
-    permute_factors,
-)
+from .lift import lift_one_particle, lift_product
+from .linalg import kron, permute_factors
 from .reduction import (
     RawReduced,
     ReductionReport,
@@ -60,7 +54,6 @@ from .symmetry import (
     Parity,
     enumerate_sn,
     exchange_character,
-    is_exchangeable,
     perm_sign,
     perm_unitary,
     symmetrizer,
@@ -93,9 +86,6 @@ __all__ = [
     "embedding_plan",
     "enumerate_sn",
     "exchange_character",
-    "hermitian_spectrum",
-    "is_exchangeable",
-    "is_separable_pure",
     "kron",
     "lift_one_particle",
     "lift_product",
@@ -104,7 +94,6 @@ __all__ = [
     "n_particle_localized",
     "negativity",
     "overlap",
-    "partial_trace",
     "partial_transpose",
     "perm_sign",
     "perm_unitary",
@@ -115,7 +104,6 @@ __all__ = [
     "reduced_spin_probe",
     "reduction_report",
     "schmidt",
-    "spatial_projector",
     "subspace_state",
     "superposition_state",
     "symmetrizer",

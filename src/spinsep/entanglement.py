@@ -1,6 +1,6 @@
 """Entanglement diagnostics for bipartite states: Schmidt decomposition,
-von Neumann entropy (base 2), partial transpose, negativity, and pure-state
-separability."""
+von Neumann entropy (base 2), partial transpose, negativity and PPT
+verdicts."""
 
 from __future__ import annotations
 
@@ -38,13 +38,6 @@ def schmidt(psi, d_left: int, d_right: int) -> SchmidtData:
     matrix = psi.reshape(d_left, d_right)
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     return SchmidtData(s, u, vh.T)
-
-
-def is_separable_pure(psi, d_left: int, d_right: int, tol: float = 1e-10) -> bool:
-    """A pure state is a product state iff its second Schmidt coefficient
-    vanishes."""
-    data = schmidt(psi, d_left, d_right)
-    return data.coefficients.size < 2 or float(data.coefficients[1]) <= tol
 
 
 def von_neumann_entropy(rho, validate: bool = True) -> float:

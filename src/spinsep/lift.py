@@ -1,6 +1,5 @@
 """Lifts of one-particle and n-slot product operators to exchange-invariant
-n-particle observables, and the localized multi-region projector built from
-them."""
+n-particle observables."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import as_matrix, identity, kron
-from .spatial import SpatialRegion, projector
 from .symmetry import MAX_PARTICLES, enumerate_sn
 
 
@@ -54,15 +52,3 @@ def lift_product(ops: Sequence[np.ndarray]) -> np.ndarray:
     for perm in enumerate_sn(n):
         acc += kron(*[mats[perm[k]] for k in range(n)])
     return acc
-
-
-def spatial_projector(
-    regions: Sequence[SpatialRegion], num_modes: int, spin_dim: int
-) -> np.ndarray:
-    """Lifted product of region projectors (tensored with spin identities).
-
-    An orthogonal projection whenever the regions are pairwise disjoint;
-    otherwise the idempotency defect is the caller's diagnostic.
-    """
-    factors = [kron(projector(r, num_modes), identity(spin_dim)) for r in regions]
-    return lift_product(factors)

@@ -1,5 +1,5 @@
-"""Dense complex multilinear algebra: Kronecker products, factor permutations,
-partial traces and Hermitian spectra on plain numpy arrays.
+"""Dense complex multilinear algebra: Kronecker products, factor permutations
+and state checks on plain numpy arrays.
 
 Index conventions used throughout the package:
 
@@ -11,11 +11,18 @@ Index conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of a complex array is finite, read from the extremes of its real
+    and imaginary parts (which propagate NaN and infinity), not from a mask of its size."""
+    parts = np.ravel(arr).view(float)
+    return parts.size == 0 or bool(np.isfinite(parts.min()) and np.isfinite(parts.max()))
 
 
 def as_matrix(mat) -> np.ndarray:
@@ -23,7 +30,7 @@ def as_matrix(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"expected a matrix, got array of rank {arr.ndim}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not _all_finite(arr):
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -31,7 +38,7 @@ def as_matrix(mat) -> np.ndarray:
 def as_vector(vec) -> np.ndarray:
     """Coerce to a 1-D complex array with finite entries."""
     arr = np.asarray(vec, dtype=complex).reshape(-1)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not _all_finite(arr):
         raise ValueError("vector entries must be finite")
     return arr
 
@@ -75,39 +82,6 @@ def kron(*factors) -> np.ndarray:
     return out
 
 
-def partial_trace(mat, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out all tensor factors not listed in ``keep``.
-
-    ``dims`` are the factor dimensions (slowest first); ``keep`` is a set of
-    factor indices.  The result acts on the kept factors in their original
-    order, and ``trace(result) == trace(mat)``.
-    """
-    mat = as_matrix(mat)
-    dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    if mat.shape != (total, total):
-        raise ValueError(f"matrix shape {mat.shape} does not match factor dims {dims}")
-    k = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= k for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {k} factors")
-
-    tensor = mat.reshape(dims + dims)
-    row_sub = list(range(k))
-    col_sub = []
-    fresh = k
-    for ax in range(k):
-        if ax in keep:
-            col_sub.append(fresh)
-            fresh += 1
-        else:
-            col_sub.append(ax)  # repeated label -> traced
-    out_sub = [ax for ax in keep] + [col_sub[ax] for ax in keep]
-    reduced = np.einsum(tensor, row_sub + col_sub, out_sub)
-    d_keep = math.prod(dims[ax] for ax in keep)
-    return reduced.reshape(d_keep, d_keep)
-
-
 def _check_permutation(perm: Sequence[int], k: int) -> tuple[int, ...]:
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(k)):
@@ -143,19 +117,6 @@ def permute_factors(arr, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
 def hermiticity_defect(mat) -> float:
     mat = np.asarray(mat)
     return frob(mat - dagger(mat))
-
-
-def hermitian_spectrum(mat, tol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
-
-    Rejects inputs whose Hermiticity defect exceeds ``tol`` relative to the
-    matrix norm.
-    """
-    mat = as_matrix(mat)
-    scale = max(frob(mat), 1.0)
-    if hermiticity_defect(mat) > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
 
 
 def projection_defect(mat) -> float:

@@ -4,13 +4,14 @@ The central operation measures a global n-particle state in n spatial
 regions and keeps only the spins.  Statistics enter solely through the sum
 over permutations sigma of S_n:
 
-    R = sum_sigma Perm_sigma( tr_modes[ (P_sigma(0) x 1) ... (P_sigma(n-1) x 1) rho ] ),
+    R = sum_sigma Perm_sigma( sum_{m in R_sigma(0) x ... x R_sigma(n-1)} <m|rho|m> ),
 
-one mode trace restricted to the regions in the order sigma assigns them,
-followed by a permutation of the n spin factors.  Entry (j, i) of ``R`` is
-the expectation of the lifted product whose k-th slot is ``P_k x E_{i_k j_k}``.
-A pure state enters as its vector psi (rho = |psi><psi|), so its dense
-density matrix is never formed.
+where <m|rho|m> is the spin block of rho at the mode tuple m and Perm_sigma
+permutes the n spin factors.  Entry (j, i) of ``R`` is the expectation of the
+lifted product whose k-th slot is ``P_k x E_{i_k j_k}``.  One kernel sums spin
+blocks over a set of mode tuples, once per sigma for the probe and once over
+every tuple for the spatial trace.  A pure state enters as its vector psi
+(rho = |psi><psi|), so its dense density matrix is never formed.
 For pairwise disjoint, fully localizing regions the result is a genuine
 density matrix with trace equal to the joint localization probability; for
 overlapping regions the same formula still applies and the diagnostics
@@ -33,7 +34,6 @@ from .linalg import (
     identity,
     kron,
     nth_root_dim,
-    partial_trace,
     permute_factors,
 )
 from .lift import lift_product
@@ -48,7 +48,6 @@ from .symmetry import (
     enumerate_sn,
 )
 
-PROBE_PARTICLE_CAP = 4
 TRACE_FLOOR = 1e-10
 EIG_FLOOR = -1e-10
 
@@ -88,6 +87,24 @@ def _state_operand(state) -> np.ndarray:
     return state
 
 
+def _mode_blocks(state: np.ndarray, modes: tuple, num_modes: int, spin_dim: int) -> np.ndarray:
+    """Sum of the spin blocks <m|state|m> over the mode tuples m that ``modes`` selects,
+    one index per particle: an ``np.ix_`` mesh, or ``slice(None)`` each for every tuple.
+    psi enters with its mode axes first as M[m, s], giving M[modes]^T conj(M[modes]); rho
+    through its diagonal view B[m, s, t] = <m, s|rho|m, t>, summed over B[modes]."""
+    n = len(modes)
+    shape = (num_modes, spin_dim) * n
+    spin_total = spin_dim**n
+    if state.ndim == 1:
+        m = state.reshape(shape).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+        m = m[modes].reshape(-1, spin_total)
+        return m.T @ m.conj()
+    # particle k: mode axis k on both sides, spin axis n + k of the row, 2n + k of the column
+    axes = [a for side in (n, 2 * n) for k in range(n) for a in (k, side + k)]
+    blocks = np.einsum(state.reshape(shape * 2), axes, list(range(3 * n)))
+    return blocks[modes].sum(axis=tuple(range(n))).reshape(spin_total, spin_total)
+
+
 def reduced_spin_probe(
     state,
     regions: Sequence[SpatialRegion],
@@ -98,14 +115,12 @@ def reduced_spin_probe(
 
     ``state`` is a state vector psi or a density matrix rho on the interleaved
     n-particle space; ``regions`` assigns one spatial region per measurement
-    slot.  For each permutation sigma one contraction traces the modes of
-    particle k over region sigma(k), and the spin factors of that partial
-    result are permuted by sigma before they are summed.  Linear in rho.
+    slot.  For each permutation sigma the spin blocks are summed over the mode
+    tuples whose k-th mode lies in region sigma(k), and their spin factors are
+    permuted by sigma before they are summed.  Linear in rho.
     """
     state = _state_operand(state)
     n = len(regions)
-    if not 1 <= n <= PROBE_PARTICLE_CAP:
-        raise ValueError(f"probe sweep supports 1..{PROBE_PARTICLE_CAP} particles")
     one_dim = nth_root_dim(state.shape[0], n)
     if num_modes is None:
         if one_dim % spin_dim:
@@ -115,26 +130,15 @@ def reduced_spin_probe(
         num_modes = one_dim // spin_dim
     if num_modes * spin_dim != one_dim:
         raise ValueError("mode count and spin dimension do not match the state")
+    for region in regions:
+        region.require_within(num_modes)
 
-    masks = [np.diag(projector(r, num_modes)) for r in regions]
-    shape = (num_modes, spin_dim) * n
-    # labels: mode of particle k -> k, row spin -> n + k, column spin -> 2n + k;
-    # the mode label repeats on both sides, so each mode index is traced
-    row_labels = [lab for k in range(n) for lab in (k, n + k)]
-    col_labels = [lab for k in range(n) for lab in (k, 2 * n + k)]
-    if state.ndim == 1:  # rho = psi psi^dag: the row side is psi, the column side its conjugate
-        operands = [state.reshape(shape), row_labels, state.conj().reshape(shape), col_labels]
-    else:
-        operands = [state.reshape(shape * 2), row_labels + col_labels]
+    modes = [region.sorted_modes() for region in regions]
     spin_total = spin_dim**n
     spin_dims = (spin_dim,) * n
     reduced = np.zeros((spin_total, spin_total), dtype=complex)
     for perm in enumerate_sn(n):
-        args = list(operands)
-        for k in range(n):
-            args.extend([masks[perm[k]], [k]])
-        args.append(list(range(n, 3 * n)))
-        slot = np.einsum(*args).reshape(spin_total, spin_total)
+        slot = _mode_blocks(state, np.ix_(*[modes[p] for p in perm]), num_modes, spin_dim)
         reduced += permute_factors(slot, spin_dims, perm)
 
     return _with_diagnostics(reduced)
@@ -204,19 +208,13 @@ def trace_out_spatial(state, spec: SpaceSpec) -> np.ndarray:
     """Ordinary partial trace over every spatial factor of the interleaved
     layout, keeping the n spin factors in particle order.
 
-    ``state`` is a state vector psi or a density matrix rho.  For psi, the
-    amplitudes arranged as M[modes, spins] give the result M^T conj(M).
+    ``state`` is a state vector psi or a density matrix rho; the result is the
+    sum of its spin blocks over every mode tuple.
     """
     state = _state_operand(state)
     if state.shape[0] != spec.total_dim:
         raise ValueError("state dimension does not match the space description")
-    n = spec.particles
-    if state.ndim == 2:
-        return partial_trace(state, spec.factor_dims, [2 * k + 1 for k in range(n)])
-    modes_first = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    m = state.reshape(spec.factor_dims).transpose(modes_first)
-    m = m.reshape(spec.num_modes**n, spec.spin_dim**n)
-    return m.T @ m.conj()
+    return _mode_blocks(state, (slice(None),) * spec.particles, spec.num_modes, spec.spin_dim)
 
 
 def classify_symmetry(

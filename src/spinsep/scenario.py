@@ -45,7 +45,6 @@ from .entanglement import (
 )
 from .linalg import frob, normalize
 from .reduction import (
-    PROBE_PARTICLE_CAP,
     classify_symmetry,
     reduced_spin_probe,
     reduction_report,
@@ -519,7 +518,6 @@ class Analysis:
     needs_state: bool = False
     needs_parity: bool = False
     min_regions: Callable[[SpaceSpec], int] = lambda space: 0
-    particle_cap: int = MAX_PARTICLES
 
 
 ANALYSES = {
@@ -531,7 +529,6 @@ ANALYSES = {
         _spin_matrix_entries,
         needs_state=True,
         min_regions=lambda space: space.particles,
-        particle_cap=PROBE_PARTICLE_CAP,
     ),
     "spatial_trace": Analysis(
         _run_spatial_trace,
@@ -746,10 +743,6 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         _require(
             len(region_names) >= min_regions,
             f"regions: {analysis.title} needs at least {min_regions} named regions",
-        )
-        _require(
-            space.particles <= analysis.particle_cap,
-            f"space.particles: {analysis.title} supports at most {analysis.particle_cap}",
         )
         if analysis.needs_parity:
             _require(parity is not None, f"parity: required by {analysis.title}")

@@ -6,11 +6,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import frob, identity, nth_root_dim, permute_factors
+from .linalg import frob, identity, nth_root_dim
 
 MAX_PARTICLES = 6
 
@@ -94,27 +94,6 @@ def symmetrizer(n: int, dim: int, parity: Parity) -> np.ndarray:
     """Dense matrix of the symmetric (Bose) or antisymmetric (Fermi) projection
     of (C^dim)^n: a reference construction, as ``symmetrize`` never forms it."""
     return symmetrize(identity(dim**n), n, dim, parity)
-
-
-class ExchangeabilityResult(NamedTuple):
-    exchangeable: bool
-    max_defect: float
-
-
-def is_exchangeable(op, n: int, dim: int, tol: float = 1e-10) -> ExchangeabilityResult:
-    """Whether an operator on (C^dim)^n commutes with every factor
-    permutation, together with the worst conjugation defect."""
-    op = np.asarray(op, dtype=complex)
-    total = dim**n
-    if op.shape != (total, total):
-        raise ValueError(f"operator shape {op.shape} does not match ({total}, {total})")
-    worst = 0.0
-    for perm in enumerate_sn(n):
-        if perm == tuple(range(n)):
-            continue
-        # conjugation by a permutation unitary is an exact reindexing
-        worst = max(worst, frob(permute_factors(op, (dim,) * n, perm) - op))
-    return ExchangeabilityResult(worst <= tol, worst)
 
 
 def exchange_character(vec, n: int, dim: int | None = None, tol: float = 1e-10) -> str:

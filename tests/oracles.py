@@ -1,20 +1,40 @@
 """Brute-force reference implementations used as independent oracles.
 
 Everything here is written as explicit loops over the defining formulas, so
-the tests never check the library against itself.  The one exception is
+the tests never check the library against itself.  The exceptions are
+formulations the package replaced or no longer calls, kept to check what
+replaced them or because the tests still exercise them:
 ``bipartition_by_dense_generators``, the dense sweep that the closed-form
-``bipartition_check`` replaced: it multiplies the dense lifted generators and
-the dense antisymmetrizer, which the acceptance criteria check against loops.
+``bipartition_check`` replaced (it multiplies the dense lifted generators and
+the dense antisymmetrizer, which the acceptance criteria check against
+loops); ``reduced_spin_by_einsum``, the per-permutation contraction that the
+mode-block kernel of ``reduced_spin_probe`` replaced; and ``partial_trace``,
+``hermitian_spectrum``, ``is_separable_pure``, ``is_exchangeable`` and
+``spatial_projector``, which no module of the package calls.
 """
 
 import itertools
 import math
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from spinsep.algebra import PROJECTION_TOL, BipartitionVerdict, hermitian_basis, local_generator
-from spinsep.linalg import as_matrix, frob, projection_defect
-from spinsep.symmetry import Parity, symmetrizer
+from spinsep.entanglement import schmidt
+from spinsep.lift import lift_product
+from spinsep.linalg import (
+    as_matrix,
+    dagger,
+    frob,
+    hermiticity_defect,
+    identity,
+    kron,
+    nth_root_dim,
+    permute_factors,
+    projection_defect,
+)
+from spinsep.spatial import SpatialRegion, projector
+from spinsep.symmetry import Parity, enumerate_sn, symmetrizer
 
 
 def kron_by_loops(a, b):
@@ -248,3 +268,129 @@ def bipartition_by_dense_generators(p, q, spin_dim: int, tol: float = 1e-10) -> 
         projected_max_norm=max_proj,
         projected_witness=None if max_proj <= tol else proj_witness,
     )
+
+
+def reduced_spin_by_einsum(state, regions, spin_dim, num_modes=None):
+    """Reduced spin matrix of a state vector psi or a density matrix rho, one
+    ``np.einsum`` per permutation sigma: each particle's mode index is traced
+    over the 0/1 mask of region sigma(k), and the spin factors of that partial
+    result are permuted by sigma before they are summed."""
+    state = np.asarray(state, dtype=complex)
+    n = len(regions)
+    one_dim = nth_root_dim(state.shape[0], n)
+    if num_modes is None:
+        if one_dim % spin_dim:
+            raise ValueError(
+                f"one-particle dimension {one_dim} is not divisible by spin dimension {spin_dim}"
+            )
+        num_modes = one_dim // spin_dim
+    if num_modes * spin_dim != one_dim:
+        raise ValueError("mode count and spin dimension do not match the state")
+
+    masks = [np.diag(projector(r, num_modes)) for r in regions]
+    shape = (num_modes, spin_dim) * n
+    # labels: mode of particle k -> k, row spin -> n + k, column spin -> 2n + k;
+    # the mode label repeats on both sides, so each mode index is traced
+    row_labels = [lab for k in range(n) for lab in (k, n + k)]
+    col_labels = [lab for k in range(n) for lab in (k, 2 * n + k)]
+    if state.ndim == 1:  # rho = psi psi^dag: the row side is psi, the column side its conjugate
+        operands = [state.reshape(shape), row_labels, state.conj().reshape(shape), col_labels]
+    else:
+        operands = [state.reshape(shape * 2), row_labels + col_labels]
+    spin_total = spin_dim**n
+    spin_dims = (spin_dim,) * n
+    reduced = np.zeros((spin_total, spin_total), dtype=complex)
+    for perm in enumerate_sn(n):
+        args = list(operands)
+        for k in range(n):
+            args.extend([masks[perm[k]], [k]])
+        args.append(list(range(n, 3 * n)))
+        slot = np.einsum(*args).reshape(spin_total, spin_total)
+        reduced += permute_factors(slot, spin_dims, perm)
+    return reduced
+
+
+def partial_trace(mat, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Trace out all tensor factors not listed in ``keep``.
+
+    ``dims`` are the factor dimensions (slowest first); ``keep`` is a set of
+    factor indices.  The result acts on the kept factors in their original
+    order, and ``trace(result) == trace(mat)``.
+    """
+    mat = as_matrix(mat)
+    dims = tuple(int(d) for d in dims)
+    total = math.prod(dims)
+    if mat.shape != (total, total):
+        raise ValueError(f"matrix shape {mat.shape} does not match factor dims {dims}")
+    k = len(dims)
+    keep = sorted(set(int(i) for i in keep))
+    if any(i < 0 or i >= k for i in keep):
+        raise ValueError(f"keep indices {keep} out of range for {k} factors")
+
+    tensor = mat.reshape(dims + dims)
+    row_sub = list(range(k))
+    col_sub = []
+    fresh = k
+    for ax in range(k):
+        if ax in keep:
+            col_sub.append(fresh)
+            fresh += 1
+        else:
+            col_sub.append(ax)  # repeated label -> traced
+    out_sub = [ax for ax in keep] + [col_sub[ax] for ax in keep]
+    reduced = np.einsum(tensor, row_sub + col_sub, out_sub)
+    d_keep = math.prod(dims[ax] for ax in keep)
+    return reduced.reshape(d_keep, d_keep)
+
+
+def hermitian_spectrum(mat, tol: float = 1e-10) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix, ascending.
+
+    Rejects inputs whose Hermiticity defect exceeds ``tol`` relative to the
+    matrix norm.
+    """
+    mat = as_matrix(mat)
+    scale = max(frob(mat), 1.0)
+    if hermiticity_defect(mat) > tol * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
+
+
+def is_separable_pure(psi, d_left: int, d_right: int, tol: float = 1e-10) -> bool:
+    """A pure state is a product state iff its second Schmidt coefficient
+    vanishes."""
+    data = schmidt(psi, d_left, d_right)
+    return data.coefficients.size < 2 or float(data.coefficients[1]) <= tol
+
+
+class ExchangeabilityResult(NamedTuple):
+    exchangeable: bool
+    max_defect: float
+
+
+def is_exchangeable(op, n: int, dim: int, tol: float = 1e-10) -> ExchangeabilityResult:
+    """Whether an operator on (C^dim)^n commutes with every factor
+    permutation, together with the worst conjugation defect."""
+    op = np.asarray(op, dtype=complex)
+    total = dim**n
+    if op.shape != (total, total):
+        raise ValueError(f"operator shape {op.shape} does not match ({total}, {total})")
+    worst = 0.0
+    for perm in enumerate_sn(n):
+        if perm == tuple(range(n)):
+            continue
+        # conjugation by a permutation unitary is an exact reindexing
+        worst = max(worst, frob(permute_factors(op, (dim,) * n, perm) - op))
+    return ExchangeabilityResult(worst <= tol, worst)
+
+
+def spatial_projector(
+    regions: Sequence[SpatialRegion], num_modes: int, spin_dim: int
+) -> np.ndarray:
+    """Lifted product of region projectors (tensored with spin identities).
+
+    An orthogonal projection whenever the regions are pairwise disjoint;
+    otherwise the idempotency defect is the caller's diagnostic.
+    """
+    factors = [kron(projector(r, num_modes), identity(spin_dim)) for r in regions]
+    return lift_product(factors)

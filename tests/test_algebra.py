@@ -27,7 +27,7 @@ def test_hermitian_basis_spans_and_is_hermitian():
 
 
 def test_local_generator_identity_reduces_to_spatial_projector():
-    from spinsep.lift import spatial_projector
+    from oracles import spatial_projector
 
     p = projector(SpatialRegion([0]), 2)
     q = projector(SpatialRegion([1]), 2)

@@ -7,7 +7,6 @@ from spinsep.entanglement import (
     ENTANGLED,
     PPT_INCONCLUSIVE,
     SEPARABLE,
-    is_separable_pure,
     negativity,
     partial_transpose,
     ppt_classification,
@@ -16,7 +15,7 @@ from spinsep.entanglement import (
 )
 from spinsep.linalg import kron
 
-from oracles import partial_transpose_by_loops, rand_density, rand_unit
+from oracles import is_separable_pure, partial_transpose_by_loops, rand_density, rand_unit
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)

@@ -1,6 +1,7 @@
 """The factor-permutation kernels against the formulations they replace: the
 reduction of a density matrix or of a state vector against the matrix-unit
-probe, the spatial trace of a state vector against that of its density
+probe and the per-permutation einsum, the spatial trace of a density matrix
+against the loop oracle and of a state vector against that of its density
 matrix, ``symmetrize``, ``compress`` and the exchange check against the dense
 symmetrizers, and the closed-form algebra sweep against the dense generators."""
 
@@ -30,9 +31,11 @@ from spinsep.symmetry import (
 
 from oracles import (
     bipartition_by_dense_generators,
+    partial_trace_by_loops,
     rand_density,
     rand_matrix,
     rand_unit,
+    reduced_spin_by_einsum,
     reduced_spin_by_matrix_units,
 )
 
@@ -75,6 +78,9 @@ def test_reduction_matches_matrix_unit_probe(case):
     got = reduced_spin_probe(rho, regions, d_h, d_l).matrix
     want = reduced_spin_by_matrix_units(rho, regions, d_h, d_l)
     assert np.max(np.abs(got - want)) <= KERNEL_TOL
+    spec = SpaceSpec(d_l, d_h, n)
+    want = partial_trace_by_loops(rho, spec.factor_dims, range(1, 2 * n, 2))
+    assert np.max(np.abs(trace_out_spatial(rho, spec) - want)) <= KERNEL_TOL
 
     # symmetrize and compress against the dense projection Pi
     n, dim, parity, cols = projection
@@ -103,6 +109,23 @@ def test_reduction_matches_matrix_unit_probe_four_particles():
     got = reduced_spin_probe(rho, regions, d_h, d_l).matrix
     want = reduced_spin_by_matrix_units(rho, regions, d_h, d_l)
     assert np.max(np.abs(got - want)) <= KERNEL_TOL
+
+
+@pytest.mark.parametrize("overlapping", [False, True], ids=["single_mode", "overlapping"])
+@pytest.mark.parametrize("n, d_l, d_h", [(5, 2, 2), (6, 3, 1)])
+def test_mode_block_kernel_matches_einsum_oracle(n, d_l, d_h, overlapping):
+    # n regions in d_l < n modes: single-mode regions, or multi-mode regions that share modes
+    rng = np.random.default_rng(10 * n + d_l)
+    if overlapping:
+        modes = [[0, 1], [1], list(range(d_l)), [0], [d_l - 1, 0], [1, 2]][:n]
+    else:
+        modes = [[k % d_l] for k in range(n)]
+    regions = [SpatialRegion(m) for m in modes]
+    psi = rand_unit(rng, (d_l * d_h) ** n)
+    for state in (psi, np.outer(psi, psi.conj())):
+        got = reduced_spin_probe(state, regions, d_h, d_l).matrix
+        want = reduced_spin_by_einsum(state, regions, d_h, d_l)
+        assert np.max(np.abs(got - want)) <= KERNEL_TOL
 
 
 def _label_by_dense_symmetrizers(vec, n, dim, tol=1e-10):

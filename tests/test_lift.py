@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from spinsep.lift import lift_one_particle, lift_product, spatial_projector
+from spinsep.lift import lift_one_particle, lift_product
 from spinsep.linalg import frob, kron, projection_defect
 from spinsep.spatial import SpatialRegion
-from spinsep.symmetry import Parity, enumerate_sn, is_exchangeable, perm_unitary, symmetrizer
+from spinsep.symmetry import Parity, enumerate_sn, perm_unitary, symmetrizer
 
-from oracles import lifted_product_by_loops, rand_matrix
+from oracles import is_exchangeable, lifted_product_by_loops, rand_matrix, spatial_projector
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 

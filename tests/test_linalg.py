@@ -3,16 +3,16 @@ import pytest
 
 from spinsep.linalg import (
     check_density_matrix,
-    hermitian_spectrum,
     kron,
     normalize,
-    partial_trace,
     permute_factors,
 )
 from spinsep.symmetry import perm_unitary
 
 from oracles import (
+    hermitian_spectrum,
     kron_by_loops,
+    partial_trace,
     partial_trace_by_loops,
     rand_hermitian,
     rand_matrix,

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinsep.lift import lift_product, spatial_projector
+from spinsep.lift import lift_product
 from spinsep.linalg import frob, kron, matrix_unit
 from spinsep.reduction import (
     classify_symmetry,
@@ -27,9 +27,9 @@ from spinsep.states import (
     superposition_state,
     two_particle_localized,
 )
-from spinsep.symmetry import ANTISYMMETRIC, NO_SYMMETRY, SYMMETRIC, Parity
+from spinsep.symmetry import ANTISYMMETRIC, MAX_PARTICLES, NO_SYMMETRY, SYMMETRIC, Parity
 
-from oracles import rand_matrix, rand_unit
+from oracles import rand_matrix, rand_unit, spatial_projector
 
 
 def _factor(mode, num_modes, spin):
@@ -137,8 +137,12 @@ def test_overlapping_regions_report_diagnostics_not_errors():
 
 
 def test_probe_particle_cap():
+    # the probe's only cap is MAX_PARTICLES, that of the permutation sum
+    above = MAX_PARTICLES + 1
     with pytest.raises(ValueError):
-        reduced_spin_probe(np.eye(32), [SpatialRegion([0])] * 5, 2)
+        reduced_spin_probe(np.eye(2**above), [SpatialRegion([0])] * above, 2)
+    raw = reduced_spin_probe(np.eye(32), [SpatialRegion([0])] * 5, 2)
+    assert np.array_equal(raw.matrix, 120 * np.eye(32))
 
 
 @pytest.mark.parametrize("parity", [Parity.FERMI, Parity.BOSE])
@@ -303,6 +307,24 @@ def test_reduction_report_gating():
     rep = reduction_report(raw, 2, 2)
     assert rep.normalized is None and not rep.valid_state
     assert rep.symmetry_class is None
+
+
+def test_probe_of_a_density_matrix_allocates_no_array_of_its_size():
+    # five particles, two modes, two spin levels: rho has 1024^2 entries (16.8 MB); both
+    # reductions read its mode-diagonal spin blocks through a view, and its finiteness
+    # check allocates no mask of its size (1 MB of booleans)
+    rng = np.random.default_rng(61)
+    psi = rand_unit(rng, 4**5)
+    rho = np.outer(psi, psi.conj())
+    for modes in ([[k % 2] for k in range(5)], [[0, 1]] * 5):
+        tracemalloc.start()
+        try:
+            reduced_spin_probe(rho, [SpatialRegion(m) for m in modes], 2, 2)
+            trace_out_spatial(rho, SpaceSpec(2, 2, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.size, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_pure_state_scenario_never_forms_the_density_matrix():

@@ -13,7 +13,6 @@ from spinsep.symmetry import (
     Parity,
     enumerate_sn,
     exchange_character,
-    is_exchangeable,
     perm_compose,
     perm_inverse,
     perm_sign,
@@ -21,7 +20,7 @@ from spinsep.symmetry import (
     symmetrizer,
 )
 
-from oracles import rand_matrix
+from oracles import is_exchangeable, rand_matrix
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
