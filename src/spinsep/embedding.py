@@ -3,9 +3,10 @@ separated reduction of a globally symmetric or antisymmetric two-particle
 state.
 
 Each eigenvector of the target is written across one fresh spatial mode per
-region; the spectral weights become superposition weights.  The reduction of
-the resulting global state reproduces the target exactly, for either
-exchange statistics.
+region, as one product tensor weighted by the square root of its eigenvalue;
+the sum of these products is (anti)symmetrized once by
+``states.symmetrized_pair``.  The reduction of the resulting global state
+reproduces the target exactly, for either exchange statistics.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector, check_density_matrix, nth_root_dim
 from .spatial import SpatialRegion, mode_wavefunction
-from .states import (
-    BuiltState,
-    LocalizedFactor,
-    SuperpositionTerm,
-    superposition_state,
-)
+from .states import BuiltState, symmetrized_pair
 from .symmetry import Parity
 
 RANK_CUTOFF = 1e-12
@@ -44,26 +40,6 @@ def embedding_plan(sigma, cutoff: float = RANK_CUTOFF) -> EmbeddingPlan:
     return EmbeddingPlan(sigma, rank, rank)
 
 
-def _spin_basis_terms(coeffs: np.ndarray, f_factorizer, g_factorizer, weight_scale):
-    """Terms (f x e_i) (g x e_j) weighted by the coefficient matrix."""
-    spin_dim = coeffs.shape[0]
-    eye = np.eye(spin_dim, dtype=complex)
-    terms = []
-    for i in range(spin_dim):
-        for j in range(spin_dim):
-            w = weight_scale * coeffs[i, j]
-            if w == 0:
-                continue
-            terms.append(
-                SuperpositionTerm(
-                    LocalizedFactor(f_factorizer, eye[i]),
-                    LocalizedFactor(g_factorizer, eye[j]),
-                    weight=w,
-                )
-            )
-    return terms
-
-
 def embed_pure(
     phi,
     region1: SpatialRegion,
@@ -80,10 +56,9 @@ def embed_pure(
     region2.require_within(num_modes)
     spin_dim = nth_root_dim(phi.size, 2)
     coeffs = phi.reshape(spin_dim, spin_dim)
-    f = mode_wavefunction(region1.sorted_modes()[0], num_modes)
-    g = mode_wavefunction(region2.sorted_modes()[0], num_modes)
-    terms = _spin_basis_terms(coeffs, f, g, 1.0)
-    return superposition_state(terms, parity)
+    f = mode_wavefunction(region1.sorted_modes()[0], num_modes).amplitudes
+    g = mode_wavefunction(region2.sorted_modes()[0], num_modes).amplitudes
+    return symmetrized_pair(np.einsum("a,b,ij->aibj", f, g, coeffs), parity)
 
 
 def embed_mixed(
@@ -120,11 +95,14 @@ def embed_mixed(
     modes1 = region1.sorted_modes()[:rank]
     modes2 = region2.sorted_modes()[:rank]
 
-    terms = []
-    for slot, k in enumerate(order):
-        weight = float(np.sqrt(eigvals[k]))
-        coeffs = eigvecs[:, k].reshape(spin_dim, spin_dim)
-        f = mode_wavefunction(modes1[slot], num_modes)
-        g = mode_wavefunction(modes2[slot], num_modes)
-        terms.extend(_spin_basis_terms(coeffs, f, g, weight))
-    return superposition_state(terms, parity)
+    # one product (f x e_i) x (g x e_j) per eigenvector, in fresh modes f and g
+    product = sum(
+        np.einsum(
+            "a,b,ij->aibj",
+            mode_wavefunction(modes1[slot], num_modes).amplitudes,
+            mode_wavefunction(modes2[slot], num_modes).amplitudes,
+            float(np.sqrt(eigvals[k])) * eigvecs[:, k].reshape(spin_dim, spin_dim),
+        )
+        for slot, k in enumerate(order)
+    )
+    return symmetrized_pair(product, parity)

@@ -157,7 +157,7 @@ def render_text(outcome: ScenarioOutcome) -> str:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_outcome(outcome: ScenarioOutcome, out_dir: Path) -> Path:
@@ -183,13 +183,13 @@ def _run_checked(path: Path, tolerance: float, out_dir: Path, require_expectatio
             raise ScenarioValidationError("no expectations embedded")
         outcome = execute_scenario(scenario)
         outcome.failures.extend(compare_expectations(outcome.report, scenario, tolerance))
+        write_outcome(outcome, out_dir)  # a NaN in the report fails encoding with a ValueError
     except ScenarioParseError as exc:
         return name, _Failed(EXIT_PARSE, "parse", str(exc))
     except ScenarioValidationError as exc:
         return name, _Failed(EXIT_VALIDATION, "validation", str(exc))
     except (ConstructionError, ValueError) as exc:  # ZeroStateError is a ValueError
         return name, _Failed(EXIT_CONSTRUCTION, "construction", str(exc))
-    write_outcome(outcome, out_dir)
     return name, outcome
 
 

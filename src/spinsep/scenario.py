@@ -89,6 +89,7 @@ class ConstructionError(Exception):
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _MAX_SEED = 2**64 - 1
 MAX_ARRAY_ENTRIES = 2**24  # 268 MB of complex entries: the dense rho of a dim-4096 state
+MAX_SWEEP_STEPS = 1000  # each step builds and reduces one two-particle state
 SWEEP_CSV_HEADER = "overlap,trace,min_eig,negativity,entropy"
 
 
@@ -177,6 +178,20 @@ def _checked(build: Callable[[], Any], where: str):
         return build()
     except ValueError as exc:
         raise ScenarioValidationError(f"{where}: {exc}") from exc
+
+
+def _require_finite(obj) -> None:
+    """Reject the first NaN or infinity anywhere in a decoded JSON value, naming its path:
+    the report echoes the scenario, and strict JSON has no such numbers."""
+    stack = [(obj, "")]
+    while stack:  # depth first in document order, without recursion
+        node, where = stack.pop()
+        if isinstance(node, float):
+            _require(math.isfinite(node), f"{where}: expected a finite number")
+        elif isinstance(node, dict):
+            stack.extend(reversed([(v, f"{where}.{k}" if where else k) for k, v in node.items()]))
+        elif isinstance(node, list):
+            stack.extend(reversed([(v, f"{where}[{k}]") for k, v in enumerate(node)]))
 
 
 def _within_budget(entries: int, what: str) -> None:
@@ -456,7 +471,10 @@ def _run_overlap_sweep(scenario: Scenario, opts: dict, state, results: dict) -> 
     space = scenario.space
     _require(space.spin_dim >= 2, "overlap_sweep: needs at least two spin levels")
     steps = opts.get("steps", 21)
-    _require(is_integer(steps) and steps >= 2, "overlap_sweep.steps: expected an integer >= 2")
+    _require(
+        is_integer(steps) and 2 <= steps <= MAX_SWEEP_STEPS,
+        f"overlap_sweep.steps: expected an integer in [2, {MAX_SWEEP_STEPS}]",
+    )
     region1 = scenario.region(opts.get("region_1", scenario.region_names[0]))
     region2 = scenario.region(opts.get("region_2", scenario.region_names[1]))
     eye = np.eye(space.spin_dim, dtype=complex)
@@ -659,6 +677,7 @@ EXPECTATIONS = {
 def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
     """Validate a decoded JSON object and build a Scenario."""
     _require(isinstance(obj, dict), f"{source}: scenario must be a JSON object")
+    _require_finite(obj)
 
     name = obj.get("name")
     _require(

@@ -1,5 +1,7 @@
 """Constructors for (anti)symmetrized states of particles carrying interleaved
-spatial and spin degrees of freedom.
+spatial and spin degrees of freedom: each forms one product tensor (for a
+superposition, the weighted sum of its products) and (anti)symmetrizes it
+with one ``symmetry.symmetrize`` call, which permutes tensor factors.
 
 Every constructor renormalizes its result and reports the pre-normalization
 norm, so callers can audit the bookkeeping of unnormalized superpositions.
@@ -18,7 +20,7 @@ import numpy as np
 
 from .linalg import as_vector, kron, permute_factors
 from .spatial import SpaceSpec, Wavefunction
-from .symmetry import MAX_PARTICLES, Parity, enumerate_sn, exchange_character, symmetrize
+from .symmetry import MAX_PARTICLES, Parity, exchange_character, symmetrize
 
 ZERO_TOL = 1e-12
 
@@ -103,13 +105,15 @@ def superposition_state(terms: Sequence[SuperpositionTerm], parity: Parity) -> B
     for t in terms:
         _check_pair_dims(t.factor_1, t.factor_2)
         _check_pair_dims(terms[0].factor_1, t.factor_1)
-    sign = 1.0 if parity is Parity.BOSE else -1.0
-    raw = None
-    for t in terms:
-        va, vb = t.factor_1.vector(), t.factor_2.vector()
-        bracket = kron(va, vb) + sign * kron(vb, va)
-        raw = t.weight * bracket if raw is None else raw + t.weight * bracket
-    return _finalize(raw)
+    product = sum(t.weight * np.outer(t.factor_1.vector(), t.factor_2.vector()) for t in terms)
+    return symmetrized_pair(product, parity)
+
+
+def symmetrized_pair(product: np.ndarray, parity: Parity) -> BuiltState:
+    """The normalized bracket x + phase * swap(x) of a two-particle tensor x
+    on (C^d) x (C^d), whose leading axes index the first particle."""
+    d = math.isqrt(product.size)
+    return _finalize(2.0 * symmetrize(product.reshape(-1), 2, d, parity))
 
 
 def n_particle_localized(
@@ -124,12 +128,10 @@ def n_particle_localized(
     for f in factors:
         _check_pair_dims(factors[0], f)
     vecs = [f.vector() for f in factors]
-    raw = None
-    for perm in enumerate_sn(n):
-        term = parity.phase(perm) * kron(*[vecs[perm[k]] for k in range(n)])
-        raw = term if raw is None else raw + term
-    raw = raw / math.sqrt(math.factorial(n))
-    return _finalize(raw)
+    raw = symmetrize(kron(*vecs), n, vecs[0].size, parity) * math.factorial(n)
+    # n! / sqrt(n!) in two steps: a single * sqrt(n!) rounds differently and
+    # moves the reports of the bundled scenarios in their last digits
+    return _finalize(raw / math.sqrt(math.factorial(n)))
 
 
 class SubspaceKind(enum.Enum):
@@ -189,16 +191,13 @@ def subspace_state(
         c = as_vector(spatial_part)
         if c.size != spec.num_modes:
             raise ValueError("mode amplitude vector has wrong length")
-        spins = _per_mode_spins(spin_part, spec)
-        grouped = np.zeros(spec.total_dim, dtype=complex)
-        mode_dim = spec.num_modes**n
+        # column m of chis is the antisymmetrized spin vector of mode m
+        chis = symmetrize(_per_mode_spins(spin_part, spec).T, n, spec.spin_dim, Parity.FERMI)
+        grouped = np.zeros((spec.num_modes**n, chis.shape[0]), dtype=complex)
         for mode, amp in enumerate(c):
             if abs(amp) == 0.0:
                 continue
-            chi = symmetrize(spins[mode], n, spec.spin_dim, Parity.FERMI)
-            shared = np.zeros(mode_dim, dtype=complex)
-            shared[_repeated_mode_index(mode, spec.num_modes, n)] = 1.0
-            grouped += amp * kron(shared, chi)
+            grouped[_repeated_mode_index(mode, spec.num_modes, n)] += amp * chis[:, mode]
     else:
         phi = as_vector(spatial_part)
         chi = as_vector(spin_part)
@@ -216,7 +215,7 @@ def subspace_state(
         chi = _project_or_raise(symmetrize(chi, n, spec.spin_dim, spin_parity), "spin")
         grouped = kron(phi, chi)
 
-    raw = interleave_particles(grouped, spec)
+    raw = interleave_particles(grouped.reshape(-1), spec)
     norm = float(np.linalg.norm(raw))
     if norm < ZERO_TOL:
         raise ZeroStateError("subspace state vanishes after projection")
@@ -232,15 +231,16 @@ def _repeated_mode_index(mode: int, num_modes: int, n: int) -> int:
     return idx
 
 
-def _per_mode_spins(spin_part, spec: SpaceSpec) -> list[np.ndarray]:
-    dim = spec.spin_dim**spec.particles
+def _per_mode_spins(spin_part, spec: SpaceSpec) -> np.ndarray:
+    """The (modes x spin^n) matrix of per-mode spins; one vector is broadcast, not copied."""
+    shape = (spec.num_modes, spec.spin_dim**spec.particles)
     arr = np.asarray(spin_part, dtype=complex)
     if arr.ndim == 1:
-        if arr.size != dim:
+        if arr.size != shape[1]:
             raise ValueError("spin part has wrong dimension")
-        return [arr.copy() for _ in range(spec.num_modes)]
+        return np.broadcast_to(arr, shape)
     if arr.ndim == 2:
-        if arr.shape != (spec.num_modes, dim):
+        if arr.shape != shape:
             raise ValueError("per-mode spin list has wrong shape")
-        return [arr[m].copy() for m in range(spec.num_modes)]
+        return arr
     raise ValueError("spin part must be a vector or a per-mode list of vectors")

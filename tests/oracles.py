@@ -8,7 +8,11 @@ replaced them or because the tests still exercise them:
 ``bipartition_check`` replaced (it multiplies the dense lifted generators and
 the dense antisymmetrizer, which the acceptance criteria check against
 loops); ``reduced_spin_by_einsum``, the per-permutation contraction that the
-mode-block kernel of ``reduced_spin_probe`` replaced; and ``partial_trace``,
+mode-block kernel of ``reduced_spin_probe`` replaced; the state constructions
+that ``symmetrize`` replaced: ``n_particle_localized_by_kron``, the n!-term
+Kronecker sum, ``superposition_by_brackets``, the sum of hand-built brackets,
+and ``embed_pure_by_terms``/``embed_mixed_by_terms``, which expand the target
+in ``spin_basis_terms`` before adding the brackets up; and ``partial_trace``,
 ``hermitian_spectrum``, ``is_separable_pure``, ``is_exchangeable`` and
 ``spatial_projector``, which no module of the package calls.
 """
@@ -33,7 +37,8 @@ from spinsep.linalg import (
     permute_factors,
     projection_defect,
 )
-from spinsep.spatial import SpatialRegion, projector
+from spinsep.spatial import SpatialRegion, mode_wavefunction, projector
+from spinsep.states import BuiltState, LocalizedFactor, SuperpositionTerm
 from spinsep.symmetry import Parity, enumerate_sn, symmetrizer
 
 
@@ -394,3 +399,84 @@ def spatial_projector(
     """
     factors = [kron(projector(r, num_modes), identity(spin_dim)) for r in regions]
     return lift_product(factors)
+
+
+def _normalized(raw) -> BuiltState:
+    norm = float(np.linalg.norm(raw))
+    return BuiltState(raw / norm, norm)
+
+
+def n_particle_localized_by_kron(factors, parity: Parity) -> BuiltState:
+    """Sign-weighted sum over all n! orderings of the factors' Kronecker
+    product, with the 1/sqrt(n!) prefactor."""
+    n = len(factors)
+    vecs = [f.vector() for f in factors]
+    raw = None
+    for perm in enumerate_sn(n):
+        term = parity.phase(perm) * kron(*[vecs[perm[k]] for k in range(n)])
+        raw = term if raw is None else raw + term
+    raw = raw / math.sqrt(math.factorial(n))
+    return _normalized(raw)
+
+
+def superposition_by_brackets(terms, parity: Parity) -> BuiltState:
+    """Weighted sum of the brackets v1 x v2 +- v2 x v1, one per term."""
+    sign = 1.0 if parity is Parity.BOSE else -1.0
+    raw = None
+    for t in terms:
+        va, vb = t.factor_1.vector(), t.factor_2.vector()
+        bracket = kron(va, vb) + sign * kron(vb, va)
+        raw = t.weight * bracket if raw is None else raw + t.weight * bracket
+    return _normalized(raw)
+
+
+def spin_basis_terms(coeffs: np.ndarray, f_factorizer, g_factorizer, weight_scale):
+    """Terms (f x e_i) (g x e_j) weighted by the coefficient matrix."""
+    spin_dim = coeffs.shape[0]
+    eye = np.eye(spin_dim, dtype=complex)
+    terms = []
+    for i in range(spin_dim):
+        for j in range(spin_dim):
+            w = weight_scale * coeffs[i, j]
+            if w == 0:
+                continue
+            terms.append(
+                SuperpositionTerm(
+                    LocalizedFactor(f_factorizer, eye[i]),
+                    LocalizedFactor(g_factorizer, eye[j]),
+                    weight=w,
+                )
+            )
+    return terms
+
+
+def embed_pure_by_terms(phi, region1, region2, parity: Parity, num_modes: int) -> BuiltState:
+    """``embed_pure`` as a superposition of one bracket per spin basis pair."""
+    spin_dim = nth_root_dim(phi.size, 2)
+    coeffs = phi.reshape(spin_dim, spin_dim)
+    f = mode_wavefunction(region1.sorted_modes()[0], num_modes)
+    g = mode_wavefunction(region2.sorted_modes()[0], num_modes)
+    terms = spin_basis_terms(coeffs, f, g, 1.0)
+    return superposition_by_brackets(terms, parity)
+
+
+def embed_mixed_by_terms(
+    sigma, region1, region2, parity: Parity, num_modes: int, cutoff: float = 1e-12
+) -> BuiltState:
+    """``embed_mixed`` as a superposition of one bracket per spin basis pair
+    and eigenvector, each eigenvector in its own pair of modes."""
+    spin_dim = nth_root_dim(sigma.shape[0], 2)
+    eigvals, eigvecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
+    order = [k for k in range(eigvals.size - 1, -1, -1) if eigvals[k] > cutoff]
+    rank = len(order)
+    modes1 = region1.sorted_modes()[:rank]
+    modes2 = region2.sorted_modes()[:rank]
+
+    terms = []
+    for slot, k in enumerate(order):
+        weight = float(np.sqrt(eigvals[k]))
+        coeffs = eigvecs[:, k].reshape(spin_dim, spin_dim)
+        f = mode_wavefunction(modes1[slot], num_modes)
+        g = mode_wavefunction(modes2[slot], num_modes)
+        terms.extend(spin_basis_terms(coeffs, f, g, weight))
+    return superposition_by_brackets(terms, parity)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinsep import runner
 from spinsep.cli import main
 from spinsep.runner import (
     EXIT_CONSTRUCTION,
@@ -18,6 +19,7 @@ from spinsep.runner import (
 )
 from spinsep.scenario import (
     MAX_ARRAY_ENTRIES,
+    MAX_SWEEP_STEPS,
     ScenarioValidationError,
     decode_complex,
     decode_matrix,
@@ -295,6 +297,15 @@ RANK_TWO = [[0.5 if row == col in (0, 3) else 0 for col in range(4)] for row in 
         ("../overlap_sweep.json", ["analyses", 1, "spin_2"], [0, 0, 1], "overlap_sweep.spin_2"),
         # both regions start at mode 0, so the sweep has no second mode to move into
         ("../overlap_sweep.json", ["regions", 1, "modes"], [0], "overlap_sweep.region_2"),
+        (
+            "../overlap_sweep.json",
+            ["analyses", 1, "steps"],
+            MAX_SWEEP_STEPS + 1,
+            "overlap_sweep.steps",
+        ),
+        # a report echoes its scenario, so a non-finite number in any field is refused
+        ("two_fermions_disjoint.json", ["note"], math.nan, "note"),
+        ("../overlap_sweep.json", ["analyses", 1, "steps"], -math.inf, "analyses[1].steps"),
     ],
 )
 def test_malformed_state_specs_fail_validation(tmp_path, file, path, value, field):
@@ -341,6 +352,24 @@ def test_run_scenario_writes_report_sidecar(tmp_path):
     assert report["results"]["reduction"]["trace"] == pytest.approx(1.0, abs=1e-12)
     assert any("timings" in line for line in lines)  # text summary carries timings
     assert "timings" not in json.dumps(report)  # the JSON artifact does not
+
+
+def test_non_finite_report_value_is_a_construction_error(tmp_path, monkeypatch):
+    # a NaN result has no strict JSON form: the run exits 4 with a message and writes no report
+    execute = runner.execute_scenario
+
+    def with_nan(scenario):
+        outcome = execute(scenario)
+        outcome.report["results"]["reduction"]["trace"] = math.nan
+        return outcome
+
+    monkeypatch.setattr(runner, "execute_scenario", with_nan)
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(_minimal_scenario()), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_CONSTRUCTION
+    assert lines == [lines[0]] and lines[0].startswith("construction error:")
+    assert not (tmp_path / "minimal.report.json").exists()
 
 
 def test_cli_json_format(tmp_path, capsys):

@@ -218,7 +218,7 @@ def test_runtime_paths_use_no_dense_reference_builders(tmp_path, monkeypatch):
     patched = 0
     for name, module in list(sys.modules.items()):
         if name == "spinsep" or name.startswith("spinsep."):
-            for builder in ("symmetrizer", "perm_unitary", "local_generator"):
+            for builder in ("symmetrizer", "perm_unitary", "local_generator", "lift_product"):
                 if hasattr(module, builder):
                     monkeypatch.setattr(module, builder, refuse)
                     patched += 1

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from spinsep.embedding import embed_mixed, embed_pure
 from spinsep.linalg import frob, kron
-from spinsep.spatial import SpaceSpec, mode_wavefunction, wavefunction
+from spinsep.spatial import SpaceSpec, SpatialRegion, mode_wavefunction, wavefunction
 from spinsep.states import (
     LocalizedFactor,
     SubspaceKind,
@@ -20,10 +21,17 @@ from spinsep.symmetry import ANTISYMMETRIC, Parity, exchange_character, symmetri
 
 from oracles import (
     determinant_by_enumeration,
+    embed_mixed_by_terms,
+    embed_pure_by_terms,
     kron_vec_by_loops,
+    n_particle_localized_by_kron,
     permanent_by_enumeration,
+    rand_density,
     rand_unit,
+    superposition_by_brackets,
 )
+
+EQUIVALENCE_TOL = 1e-14  # relative; one rounding order against another
 
 
 def _factor(mode, num_modes, spin):
@@ -134,6 +142,52 @@ def test_n_particle_norm_matches_gram_oracle(parity):
             continue
         assert abs(raw_norm**2 - expected.real) < 1e-10
         assert abs(expected.imag) < 1e-10
+
+
+def test_symmetrize_constructions_match_the_kron_and_bracket_sums():
+    rng = np.random.default_rng(77)
+
+    def factor(num_modes, spin_dim):
+        return LocalizedFactor(
+            wavefunction(rand_unit(rng, num_modes)), rand_unit(rng, spin_dim)
+        )
+
+    def check(got, want, what):
+        assert frob(got.vector - want.vector) <= EQUIVALENCE_TOL * frob(want.vector), what
+        assert abs(got.raw_norm - want.raw_norm) <= EQUIVALENCE_TOL * want.raw_norm, what
+
+    for parity in Parity:
+        for n in range(1, 6):
+            factors = [factor(3, 2) for _ in range(n)]
+            check(
+                n_particle_localized(factors, parity),
+                n_particle_localized_by_kron(factors, parity),
+                f"{n} localized, {parity}",
+            )
+        for count in range(1, 5):
+            terms = [
+                SuperpositionTerm(factor(3, 2), factor(3, 2), complex(*rng.standard_normal(2)))
+                for _ in range(count)
+            ]
+            check(
+                superposition_state(terms, parity),
+                superposition_by_brackets(terms, parity),
+                f"{count} terms, {parity}",
+            )
+        for spin_dim in (2, 3):
+            side = spin_dim**2
+            num_modes = 2 * side
+            r1, r2 = SpatialRegion(range(side)), SpatialRegion(range(side, num_modes))
+            args = (r1, r2, parity, num_modes)
+            phi = rand_unit(rng, side)
+            check(embed_pure(phi, *args), embed_pure_by_terms(phi, *args), f"pure {spin_dim}")
+            for rank in range(1, side + 1):
+                sigma = rand_density(rng, side, rank)
+                check(
+                    embed_mixed(sigma, *args),
+                    embed_mixed_by_terms(sigma, *args),
+                    f"rank {rank} of {side}, {parity}",
+                )
 
 
 def test_interleave_particles_product_vector():
