@@ -139,7 +139,7 @@ def decode_matrix(value, where: str) -> np.ndarray:
 
 def encode_matrix(mat: np.ndarray) -> list[list[list[float]]]:
     mat = np.asarray(mat, dtype=complex)
-    return [[[float(np.real(entry)), float(np.imag(entry))] for entry in row] for row in mat]
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 @dataclass
@@ -418,7 +418,8 @@ def _run_entanglement(scenario: Scenario, opts: dict, state, results: dict) -> d
     encoded = entry.get("normalized") if source == "reduction" else entry.get("matrix")
     if encoded is None:
         raise ConstructionError("no normalized reduced state available")
-    rho = decode_matrix(encoded, f"results.{source}")
+    # encode_matrix wrote these [re, im] pairs in this run: read them back bit for bit
+    rho = np.array(encoded, dtype=float).view(complex)[..., 0]
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > 1e-8:
         rho = rho / trace

@@ -66,6 +66,15 @@ def test_complex_and_matrix_round_trip():
             decode_complex(bad, "x")
 
 
+def test_encode_matrix_keeps_every_float_and_its_sign():
+    rng = np.random.default_rng(7)
+    mat = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    mat[0, 0] = complex(-0.0, -0.0)
+    encoded = encode_matrix(mat)
+    assert repr(encoded) == repr([[[float(z.real), float(z.imag)] for z in row] for row in mat])
+    assert decode_matrix(encoded, "m").tobytes() == mat.tobytes()
+
+
 def test_parse_scenario_rejects_booleans_and_non_finite_numbers():
     with pytest.raises(ScenarioValidationError, match="regions\\[0\\].modes"):
         parse_scenario(
