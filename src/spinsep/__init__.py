@@ -8,7 +8,7 @@ how spatial separation erases exchange statistics.
 """
 
 from .algebra import BipartitionVerdict, bipartition_check, commutator_expansion, local_generator
-from .embedding import EmbeddingPlan, embed_mixed, embed_pure, embedding_plan
+from .embedding import embed_mixed, embed_pure, embedding_rank
 from .entanglement import (
     SchmidtData,
     negativity,
@@ -42,13 +42,11 @@ from .states import (
     BuiltState,
     LocalizedFactor,
     SubspaceKind,
-    SubspaceState,
     SuperpositionTerm,
     ZeroStateError,
     n_particle_localized,
     subspace_state,
     superposition_state,
-    two_particle_localized,
 )
 from .symmetry import (
     Parity,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartitionVerdict",
     "BuiltState",
-    "EmbeddingPlan",
     "LocalizedFactor",
     "Parity",
     "RawReduced",
@@ -73,7 +70,6 @@ __all__ = [
     "SpaceSpec",
     "SpatialRegion",
     "SubspaceKind",
-    "SubspaceState",
     "SuperpositionTerm",
     "Wavefunction",
     "ZeroStateError",
@@ -83,7 +79,7 @@ __all__ = [
     "commutator_expansion",
     "embed_mixed",
     "embed_pure",
-    "embedding_plan",
+    "embedding_rank",
     "enumerate_sn",
     "exchange_character",
     "kron",
@@ -108,7 +104,6 @@ __all__ = [
     "superposition_state",
     "symmetrizer",
     "trace_out_spatial",
-    "two_particle_localized",
     "von_neumann_entropy",
     "wavefunction",
 ]

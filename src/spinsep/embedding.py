@@ -2,42 +2,67 @@
 separated reduction of a globally symmetric or antisymmetric two-particle
 state.
 
-Each eigenvector of the target is written across one fresh spatial mode per
-region, as one product tensor weighted by the square root of its eigenvalue;
-the sum of these products is (anti)symmetrized once by
-``states.symmetrized_pair``.  The reduction of the resulting global state
-reproduces the target exactly, for either exchange statistics.
+The k-th weighted eigenvector of the target, reshaped to a spin coefficient
+matrix C_k, is written into a zero (mode, spin, mode, spin) tensor at the
+k-th sorted mode of each region; that one product tensor is
+(anti)symmetrized once by ``states.symmetrized_pair``.  A pure target is the
+single-column case.  The reduction of the resulting global state reproduces
+the target exactly, for either exchange statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import as_matrix, as_vector, check_density_matrix, nth_root_dim
-from .spatial import SpatialRegion, mode_wavefunction
+from .spatial import SpatialRegion
 from .states import BuiltState, symmetrized_pair
 from .symmetry import Parity
 
 RANK_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingPlan:
-    """Resources needed to embed a target state: its effective rank equals
-    the number of spatial modes consumed on each side."""
-
-    target: np.ndarray
-    rank: int
-    modes_per_side: int
-
-
-def embedding_plan(sigma, cutoff: float = RANK_CUTOFF) -> EmbeddingPlan:
+def _weighted_eigenvectors(sigma) -> np.ndarray:
+    """The columns sqrt(lambda_k) v_k of a density matrix, one per eigenvalue
+    above ``RANK_CUTOFF``, the largest first."""
     sigma = check_density_matrix(as_matrix(sigma))
-    eigs = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0)
-    rank = int((eigs > cutoff).sum())
-    return EmbeddingPlan(sigma, rank, rank)
+    eigvals, eigvecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
+    keep = [k for k in range(eigvals.size - 1, -1, -1) if eigvals[k] > RANK_CUTOFF]
+    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
+
+
+def embedding_rank(sigma) -> int:
+    """The rank of a target density matrix: the number of spatial modes its
+    embedding takes in each region."""
+    return _weighted_eigenvectors(sigma).shape[1]
+
+
+def _embed(
+    columns: np.ndarray,
+    region1: SpatialRegion,
+    region2: SpatialRegion,
+    parity: Parity,
+    num_modes: int,
+) -> BuiltState:
+    """(Anti)symmetrize the sum over k of (e_{m1_k} x e_{m2_k}) x C_k, where
+    column k of ``columns`` flattens the spin coefficient matrix C_k and m1_k,
+    m2_k are the k-th sorted modes of the two regions."""
+    if not region1.disjoint_from(region2):
+        raise ValueError("embedding regions must be disjoint")
+    region1.require_within(num_modes)
+    region2.require_within(num_modes)
+    spin_dim = nth_root_dim(columns.shape[0], 2)
+    rank = columns.shape[1]
+    for name, region in (("region1", region1), ("region2", region2)):
+        if len(region.modes) < rank:
+            raise ValueError(
+                f"{name} has {len(region.modes)} modes but the target has rank {rank}"
+            )
+    product = np.zeros((num_modes, spin_dim, num_modes, spin_dim), dtype=complex)
+    modes1 = region1.sorted_modes()[:rank]
+    modes2 = region2.sorted_modes()[:rank]
+    product[modes1, :, modes2, :] = columns.T.reshape(rank, spin_dim, spin_dim)
+    return symmetrized_pair(product, parity)
 
 
 def embed_pure(
@@ -49,16 +74,7 @@ def embed_pure(
 ) -> BuiltState:
     """Globally (anti)symmetric two-particle state whose reduction over the
     two regions is the pure target ``phi`` on spin x spin."""
-    phi = as_vector(phi)
-    if not region1.disjoint_from(region2):
-        raise ValueError("embedding regions must be disjoint")
-    region1.require_within(num_modes)
-    region2.require_within(num_modes)
-    spin_dim = nth_root_dim(phi.size, 2)
-    coeffs = phi.reshape(spin_dim, spin_dim)
-    f = mode_wavefunction(region1.sorted_modes()[0], num_modes).amplitudes
-    g = mode_wavefunction(region2.sorted_modes()[0], num_modes).amplitudes
-    return symmetrized_pair(np.einsum("a,b,ij->aibj", f, g, coeffs), parity)
+    return _embed(as_vector(phi)[:, None], region1, region2, parity, num_modes)
 
 
 def embed_mixed(
@@ -67,7 +83,6 @@ def embed_mixed(
     region2: SpatialRegion,
     parity: Parity,
     num_modes: int,
-    cutoff: float = RANK_CUTOFF,
 ) -> BuiltState:
     """Globally (anti)symmetric two-particle state whose reduction over the
     two regions is the target density matrix ``sigma`` on spin x spin.
@@ -75,34 +90,4 @@ def embed_mixed(
     Each region must contain at least rank(sigma) modes; the spectral
     decomposition fixes the construction deterministically.
     """
-    if not region1.disjoint_from(region2):
-        raise ValueError("embedding regions must be disjoint")
-    region1.require_within(num_modes)
-    region2.require_within(num_modes)
-    sigma = check_density_matrix(as_matrix(sigma))
-    spin_dim = nth_root_dim(sigma.shape[0], 2)
-
-    eigvals, eigvecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
-    order = [k for k in range(eigvals.size - 1, -1, -1) if eigvals[k] > cutoff]
-    rank = len(order)
-    if rank == 0:
-        raise ValueError("target state has no weight above the rank cutoff")
-    for name, region in (("region1", region1), ("region2", region2)):
-        if len(region.modes) < rank:
-            raise ValueError(
-                f"{name} has {len(region.modes)} modes but the target has rank {rank}"
-            )
-    modes1 = region1.sorted_modes()[:rank]
-    modes2 = region2.sorted_modes()[:rank]
-
-    # one product (f x e_i) x (g x e_j) per eigenvector, in fresh modes f and g
-    product = sum(
-        np.einsum(
-            "a,b,ij->aibj",
-            mode_wavefunction(modes1[slot], num_modes).amplitudes,
-            mode_wavefunction(modes2[slot], num_modes).amplitudes,
-            float(np.sqrt(eigvals[k])) * eigvecs[:, k].reshape(spin_dim, spin_dim),
-        )
-        for slot, k in enumerate(order)
-    )
-    return symmetrized_pair(product, parity)
+    return _embed(_weighted_eigenvectors(sigma), region1, region2, parity, num_modes)

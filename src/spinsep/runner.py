@@ -25,7 +25,6 @@ from .scenario import (
     ScenarioValidationError,
     load_scenario,
 )
-from .states import SubspaceState
 from .symmetry import exchange_character
 
 REPORT_FORMAT = "spinsep-report-v1"
@@ -60,14 +59,10 @@ def build_state(scenario: Scenario):
         built = STATES[spec["kind"]].build(scenario, spec)
     except ValueError as exc:  # ZeroStateError included
         raise ConstructionError(str(exc)) from exc
-    if isinstance(built, SubspaceState):  # subspace_state has measured it already
-        statistics = built.statistics
-    else:
-        statistics = exchange_character(built.vector, space.particles, space.one_particle_dim)
     return built.vector, {
         "kind": spec["kind"],
         "raw_norm": built.raw_norm,
-        "statistics": statistics,
+        "statistics": exchange_character(built.vector, space.particles, space.one_particle_dim),
         "dim": int(built.vector.size),
     }
 
@@ -172,14 +167,17 @@ def write_outcome(outcome: ScenarioOutcome, out_dir: Path) -> Path:
 _Failed = namedtuple("_Failed", "exit_code stage message")  # stage: parse, validation, construction
 
 
-def _run_checked(path: Path, tolerance: float, out_dir: Path, require_expectations: bool):
+def _run_checked(path: Path, tolerance: float, out_dir: Path, suite: dict[str, Path] | None):
     """Load, execute, check and persist one scenario file; returns the name to report (the
-    file name until it parses) and the ``ScenarioOutcome``, or the ``_Failed`` that stopped it."""
+    file name until it parses) and the ``ScenarioOutcome``, or the ``_Failed`` that stopped it.
+    ``suite`` maps the names a suite has parsed to their files; None outside a suite."""
     name = path.name
     try:
         scenario = load_scenario(path)
         name = scenario.name
-        if require_expectations and not scenario.expectations:
+        if suite is not None and suite.setdefault(name, path) != path:  # one report per name
+            raise ScenarioValidationError(f"name {name!r} is already used by {suite[name].name}")
+        if suite is not None and not scenario.expectations:
             raise ScenarioValidationError("no expectations embedded")
         outcome = execute_scenario(scenario)
         outcome.failures.extend(compare_expectations(outcome.report, scenario, tolerance))
@@ -202,7 +200,7 @@ def run_scenario_file(
 ) -> int:
     """Load, execute, check, and persist a single scenario; returns the
     process exit code."""
-    _, outcome = _run_checked(Path(path), tolerance, Path(out_dir), require_expectations=False)
+    _, outcome = _run_checked(Path(path), tolerance, Path(out_dir), suite=None)
     if isinstance(outcome, _Failed):
         echo(f"{outcome.stage} error: {outcome.message}")
     elif fmt == "json":
@@ -231,8 +229,9 @@ def run_suite(
 
     rows: list[tuple[str, str, str]] = []
     worst = EXIT_OK
+    names: dict[str, Path] = {}
     for path in files:
-        name, outcome = _run_checked(path, tolerance, Path(out_dir), require_expectations=True)
+        name, outcome = _run_checked(path, tolerance, Path(out_dir), suite=names)
         if isinstance(outcome, _Failed):
             rows.append((name, "ERROR", f"{outcome.stage}: {outcome.message}"))
         elif outcome.failures:

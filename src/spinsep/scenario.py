@@ -33,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .algebra import bipartition_check
-from .embedding import embed_mixed, embed_pure, embedding_plan
+from .embedding import embed_mixed, embed_pure, embedding_rank
 from .entanglement import (
     ENTANGLED,
     PPT_INCONCLUSIVE,
@@ -65,7 +65,6 @@ from .states import (
     n_particle_localized,
     subspace_state,
     superposition_state,
-    two_particle_localized,
 )
 from .symmetry import ANTISYMMETRIC, MAX_PARTICLES, NO_SYMMETRY, SYMMETRIC, Parity
 
@@ -332,8 +331,8 @@ def _build_embed_pure(scenario: Scenario, spec: dict):
 def _build_embed_mixed(scenario: Scenario, spec: dict):
     target = decode_matrix(spec.get("target"), "state.target")
     _require(target.shape == (scenario.space.spin_dim**2,) * 2, "state.target: wrong dimension")
-    plan = _checked(lambda: embedding_plan(target), "state.target")
-    r1, r2 = _embed_regions(scenario, spec, plan.rank)
+    rank = _checked(lambda: embedding_rank(target), "state.target")
+    r1, r2 = _embed_regions(scenario, spec, rank)
     return embed_mixed(target, r1, r2, scenario.parity, scenario.space.num_modes)
 
 
@@ -351,7 +350,7 @@ def _build_embed_random(scenario: Scenario, spec: dict):
 
 @dataclass(frozen=True)
 class StateKind:
-    """``build(scenario, state spec)`` returns a ``BuiltState`` or ``SubspaceState``."""
+    """``build(scenario, state spec)`` returns a ``BuiltState``."""
 
     build: Callable[[Scenario, dict], Any]
     needs_parity: bool = True  # subspace kinds fix their own projections
@@ -496,9 +495,8 @@ def _run_overlap_sweep(scenario: Scenario, opts: dict, state, results: dict) -> 
         g_amps[m1] = math.sin(theta)
         g_amps[m2] = math.cos(theta)
         g_wave = Wavefunction(g_amps)
-        pair, _ = two_particle_localized(
-            LocalizedFactor(f_wave, spin_1),
-            LocalizedFactor(g_wave, spin_2),
+        pair, _ = n_particle_localized(
+            [LocalizedFactor(f_wave, spin_1), LocalizedFactor(g_wave, spin_2)],
             scenario.parity,
         )
         raw = reduced_spin_probe(pair, [region1, region2], space.spin_dim, space.num_modes)

@@ -38,10 +38,6 @@ class SpaceSpec:
         """Interleaved factor dimensions (mode, spin, mode, spin, ...)."""
         return (self.num_modes, self.spin_dim) * self.particles
 
-    @property
-    def spin_dims(self) -> tuple[int, ...]:
-        return (self.spin_dim,) * self.particles
-
 
 @dataclass(frozen=True)
 class SpatialRegion:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import as_vector, kron, permute_factors
 from .spatial import SpaceSpec, Wavefunction
-from .symmetry import MAX_PARTICLES, Parity, exchange_character, symmetrize
+from .symmetry import MAX_PARTICLES, Parity, symmetrize
 
 ZERO_TOL = 1e-12
 
@@ -85,15 +85,6 @@ def _finalize(raw: np.ndarray) -> BuiltState:
     return BuiltState(raw / norm, norm)
 
 
-def two_particle_localized(
-    a: LocalizedFactor, b: LocalizedFactor, parity: Parity
-) -> BuiltState:
-    """The (anti)symmetrized product of two localized one-particle factors,
-    with its 1/sqrt(2) prefactor; exactly normalized already when the two
-    spatial wavefunctions have disjoint support."""
-    return n_particle_localized([a, b], parity)
-
-
 def superposition_state(terms: Sequence[SuperpositionTerm], parity: Parity) -> BuiltState:
     """Weighted sum of (anti)symmetrized two-particle brackets, normalized.
 
@@ -143,12 +134,6 @@ class SubspaceKind(enum.Enum):
     ANTISYMMETRIC_SPATIAL = "antisymmetric_spatial"  # antisymmetric space x symmetric spin
 
 
-class SubspaceState(NamedTuple):
-    vector: np.ndarray
-    raw_norm: float
-    statistics: str  # exchange character of the global vector, measured
-
-
 def interleave_particles(grouped: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     """Reorder a vector from (modes^n) x (spins^n) grouping to the interleaved
     (mode, spin)^n convention."""
@@ -170,7 +155,7 @@ def subspace_state(
     spatial_part,
     spin_part,
     spec: SpaceSpec,
-) -> SubspaceState:
+) -> BuiltState:
     """Build a global vector in one of the special subspaces.
 
     ``shared_spatial``: ``spatial_part`` is a length-``num_modes`` amplitude
@@ -182,8 +167,7 @@ def subspace_state(
     vector on the n-fold mode space and ``spin_part`` on the n-fold spin
     space; both are projected onto the symmetry sector the kind demands.
 
-    The parts are renormalized internally; the returned ``statistics`` states
-    which global symmetrizer actually fixes the constructed vector.
+    The parts are renormalized internally.
     """
     n = spec.particles
 
@@ -193,11 +177,9 @@ def subspace_state(
             raise ValueError("mode amplitude vector has wrong length")
         # column m of chis is the antisymmetrized spin vector of mode m
         chis = symmetrize(_per_mode_spins(spin_part, spec).T, n, spec.spin_dim, Parity.FERMI)
-        grouped = np.zeros((spec.num_modes**n, chis.shape[0]), dtype=complex)
-        for mode, amp in enumerate(c):
-            if abs(amp) == 0.0:
-                continue
-            grouped[_repeated_mode_index(mode, spec.num_modes, n)] += amp * chis[:, mode]
+        grouped = np.zeros((spec.num_modes,) * n + (chis.shape[0],), dtype=complex)
+        # mode m's spins go to the diagonal entry (m, ..., m) of the n mode factors
+        grouped[(np.arange(spec.num_modes),) * n] += c[:, None] * chis.T
     else:
         phi = as_vector(spatial_part)
         chi = as_vector(spin_part)
@@ -219,16 +201,7 @@ def subspace_state(
     norm = float(np.linalg.norm(raw))
     if norm < ZERO_TOL:
         raise ZeroStateError("subspace state vanishes after projection")
-    vec = raw / norm
-    stats = exchange_character(vec, n, spec.one_particle_dim)
-    return SubspaceState(vec, norm, stats)
-
-
-def _repeated_mode_index(mode: int, num_modes: int, n: int) -> int:
-    idx = 0
-    for _ in range(n):
-        idx = idx * num_modes + mode
-    return idx
+    return BuiltState(raw / norm, norm)
 
 
 def _per_mode_spins(spin_part, spec: SpaceSpec) -> np.ndarray:

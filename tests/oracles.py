@@ -11,8 +11,10 @@ loops); ``reduced_spin_by_einsum``, the per-permutation contraction that the
 mode-block kernel of ``reduced_spin_probe`` replaced; the state constructions
 that ``symmetrize`` replaced: ``n_particle_localized_by_kron``, the n!-term
 Kronecker sum, ``superposition_by_brackets``, the sum of hand-built brackets,
-and ``embed_pure_by_terms``/``embed_mixed_by_terms``, which expand the target
-in ``spin_basis_terms`` before adding the brackets up; and ``partial_trace``,
+``embed_pure_by_terms``/``embed_mixed_by_terms``, which expand the target
+in ``spin_basis_terms`` before adding the brackets up, and
+``shared_spatial_by_modes``, the per-mode loop that the indexed add on the
+mode diagonal in ``subspace_state`` replaced; and ``partial_trace``,
 ``hermitian_spectrum``, ``is_separable_pure``, ``is_exchangeable`` and
 ``spatial_projector``, which no module of the package calls.
 """
@@ -28,6 +30,7 @@ from spinsep.entanglement import schmidt
 from spinsep.lift import lift_product
 from spinsep.linalg import (
     as_matrix,
+    as_vector,
     dagger,
     frob,
     hermiticity_defect,
@@ -37,9 +40,17 @@ from spinsep.linalg import (
     permute_factors,
     projection_defect,
 )
-from spinsep.spatial import SpatialRegion, mode_wavefunction, projector
-from spinsep.states import BuiltState, LocalizedFactor, SuperpositionTerm
-from spinsep.symmetry import Parity, enumerate_sn, symmetrizer
+from spinsep.spatial import SpaceSpec, SpatialRegion, mode_wavefunction, projector
+from spinsep.states import (
+    ZERO_TOL,
+    BuiltState,
+    LocalizedFactor,
+    SuperpositionTerm,
+    ZeroStateError,
+    _per_mode_spins,
+    interleave_particles,
+)
+from spinsep.symmetry import Parity, enumerate_sn, symmetrize, symmetrizer
 
 
 def kron_by_loops(a, b):
@@ -480,3 +491,31 @@ def embed_mixed_by_terms(
         g = mode_wavefunction(modes2[slot], num_modes)
         terms.extend(spin_basis_terms(coeffs, f, g, weight))
     return superposition_by_brackets(terms, parity)
+
+
+def shared_spatial_by_modes(spatial_part, spin_part, spec: SpaceSpec) -> BuiltState:
+    """``subspace_state`` of kind ``shared_spatial``, one mode at a time: each mode's
+    antisymmetrized spins are added at the index of that mode repeated n times."""
+    n = spec.particles
+    c = as_vector(spatial_part)
+    if c.size != spec.num_modes:
+        raise ValueError("mode amplitude vector has wrong length")
+    # column m of chis is the antisymmetrized spin vector of mode m
+    chis = symmetrize(_per_mode_spins(spin_part, spec).T, n, spec.spin_dim, Parity.FERMI)
+    grouped = np.zeros((spec.num_modes**n, chis.shape[0]), dtype=complex)
+    for mode, amp in enumerate(c):
+        if abs(amp) == 0.0:
+            continue
+        grouped[_repeated_mode_index(mode, spec.num_modes, n)] += amp * chis[:, mode]
+    raw = interleave_particles(grouped.reshape(-1), spec)
+    norm = float(np.linalg.norm(raw))
+    if norm < ZERO_TOL:
+        raise ZeroStateError("subspace state vanishes after projection")
+    return BuiltState(raw / norm, norm)
+
+
+def _repeated_mode_index(mode: int, num_modes: int, n: int) -> int:
+    idx = 0
+    for _ in range(n):
+        idx = idx * num_modes + mode
+    return idx

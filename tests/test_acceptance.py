@@ -35,7 +35,6 @@ from spinsep.states import (
     n_particle_localized,
     subspace_state,
     superposition_state,
-    two_particle_localized,
 )
 from spinsep.symmetry import (
     ANTISYMMETRIC,
@@ -161,8 +160,8 @@ def test_criterion_04_two_particle_theorem():
         target = kron(_dyad(xi), _dyad(eta))
         results = []
         for parity in PARITIES:
-            vec, _ = two_particle_localized(
-                LocalizedFactor(f, xi), LocalizedFactor(g, eta), parity
+            vec, _ = n_particle_localized(
+                [LocalizedFactor(f, xi), LocalizedFactor(g, eta)], parity
             )
             raw = reduced_spin_probe(_dyad(vec), regions, d_h)
             results.append(raw.matrix)
@@ -248,8 +247,8 @@ def test_criterion_07_cluster_separability():
         f = mode_wavefunction(0, 2)
         g = mode_wavefunction(1, 2)
         xi, eta = rand_unit(rng, d_h), rand_unit(rng, d_h)
-        vec, _ = two_particle_localized(
-            LocalizedFactor(f, xi), LocalizedFactor(g, eta), PARITIES[trial % 2]
+        vec, _ = n_particle_localized(
+            [LocalizedFactor(f, xi), LocalizedFactor(g, eta)], PARITIES[trial % 2]
         )
         op = rand_matrix(rng, d_h)
         got = cluster_expectation(vec, SpatialRegion([0]), op, SpatialRegion([1]))

@@ -441,6 +441,30 @@ def test_suite_flags_single_wrong_expectation(tmp_path):
     assert sum("PASS" in line for line in lines) == 7
 
 
+def test_suite_rejects_a_repeated_scenario_name(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    obj = json.loads((CLAIMS_DIR / "two_fermions_disjoint.json").read_text(encoding="utf-8"))
+    (suite / "a.json").write_text(json.dumps(obj), encoding="utf-8")
+    obj["description"] = "same name, another file"
+    (suite / "b.json").write_text(json.dumps(obj), encoding="utf-8")
+
+    lines = []
+    code = run_suite(suite, out_dir=tmp_path / "out", echo=lines.append)
+    assert code == EXIT_VALIDATION
+    assert lines[1].split() == [
+        "two_fermions_disjoint",
+        "ERROR",
+        "validation:",
+        *"name 'two_fermions_disjoint' is already used by a.json".split(),
+    ]
+    assert lines[-1] == "1/2 scenarios passed"
+    # the report written is a.json's, not overwritten by b.json's
+    (report,) = (tmp_path / "out").iterdir()
+    written = json.loads(report.read_text(encoding="utf-8"))
+    assert written["scenario"]["description"] != obj["description"]
+
+
 def test_suite_requires_expectations(tmp_path):
     suite = tmp_path / "suite"
     suite.mkdir()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinsep.embedding import embed_mixed, embed_pure, embedding_plan
+from spinsep.embedding import embed_mixed, embed_pure, embedding_rank
 from spinsep.entanglement import negativity
 from spinsep.linalg import frob, kron
 from spinsep.reduction import reduced_spin_probe, reduction_report
@@ -80,8 +80,7 @@ def test_embed_mixed_werner_visibility_one():
 def test_embedding_plan_and_mode_requirements():
     rng = np.random.default_rng(90)
     sigma = rand_density(rng, 4, rank=3)
-    plan = embedding_plan(sigma)
-    assert plan.rank == 3 and plan.modes_per_side == 3
+    assert embedding_rank(sigma) == 3
     with pytest.raises(ValueError):
         embed_mixed(sigma, SpatialRegion([0, 1]), R2, Parity.FERMI, NUM_MODES)
 

@@ -25,7 +25,6 @@ from spinsep.states import (
     n_particle_localized,
     subspace_state,
     superposition_state,
-    two_particle_localized,
 )
 from spinsep.symmetry import ANTISYMMETRIC, MAX_PARTICLES, NO_SYMMETRY, SYMMETRIC, Parity
 
@@ -76,7 +75,7 @@ def test_localized_pair_reduces_to_spin_product(parity, d_h):
     for _ in range(5):
         a = _region_factor(rng, [0, 1], 4, d_h)
         b = _region_factor(rng, [2, 3], 4, d_h)
-        vec, _ = two_particle_localized(a, b, parity)
+        vec, _ = n_particle_localized([a, b], parity)
         raw = reduced_spin_probe(_dyad(vec), regions, d_h)
         target = kron(_dyad(a.spin), _dyad(b.spin))
         assert frob(raw.matrix - target) < 1e-12
@@ -91,8 +90,8 @@ def test_parity_independence_entrywise():
     for _ in range(5):
         a = _region_factor(rng, [0], 2, 2)
         b = _region_factor(rng, [1], 2, 2)
-        fermi, _ = two_particle_localized(a, b, Parity.FERMI)
-        bose, _ = two_particle_localized(a, b, Parity.BOSE)
+        fermi, _ = n_particle_localized([a, b], Parity.FERMI)
+        bose, _ = n_particle_localized([a, b], Parity.BOSE)
         raw_f = reduced_spin_probe(_dyad(fermi), regions, 2)
         raw_b = reduced_spin_probe(_dyad(bose), regions, 2)
         assert frob(raw_f.matrix - raw_b.matrix) < 1e-12
@@ -119,7 +118,7 @@ def test_trace_equals_localization_probability():
     amps = np.zeros(3, complex)
     amps[[1, 2]] = [0.6, 0.8]
     b = LocalizedFactor(wavefunction(amps), rand_unit(rng, 2))
-    vec, _ = two_particle_localized(a, b, Parity.FERMI)
+    vec, _ = n_particle_localized([a, b], Parity.FERMI)
     raw = reduced_spin_probe(_dyad(vec), regions, 2)
     big_proj = spatial_projector(regions, 3, 2)
     expected = np.vdot(vec, big_proj @ vec).real
@@ -129,7 +128,7 @@ def test_trace_equals_localization_probability():
 def test_overlapping_regions_report_diagnostics_not_errors():
     # both particles in mode 0, probed twice with the same region: trace 2
     a = _factor(0, 2, [1, 0])
-    vec, _ = two_particle_localized(a, a, Parity.BOSE)
+    vec, _ = n_particle_localized([a, a], Parity.BOSE)
     regions = [SpatialRegion([0]), SpatialRegion([0])]
     raw = reduced_spin_probe(_dyad(vec), regions, 2)
     assert abs(raw.trace - 2.0) < 1e-12
@@ -267,7 +266,7 @@ def test_cluster_expectation_disjoint(parity):
     for _ in range(5):
         a = _region_factor(rng, [0], 2, 2)
         b = _region_factor(rng, [1], 2, 2)
-        vec, _ = two_particle_localized(a, b, parity)
+        vec, _ = n_particle_localized([a, b], parity)
         op = rand_matrix(rng, 2)
         got = cluster_expectation(vec, SpatialRegion([0]), op, SpatialRegion([1]))
         want = complex(np.vdot(a.spin, op @ a.spin))
@@ -281,7 +280,7 @@ def test_cluster_expectation_overlap_deviates():
     rng = np.random.default_rng(59)
     a = _factor(0, 2, [1, 0])
     b = LocalizedFactor(mode_wavefunction(0, 2), np.array([0, 1], complex))
-    vec, _ = two_particle_localized(a, b, Parity.FERMI)
+    vec, _ = n_particle_localized([a, b], Parity.FERMI)
     op = rand_matrix(rng, 2)
     got = cluster_expectation(vec, SpatialRegion([0]), op, SpatialRegion([0]))
     # independent oracle: assemble the lifted observable explicitly
@@ -296,7 +295,7 @@ def test_reduction_report_gating():
     # healthy case
     a = _factor(0, 2, [1, 0])
     b = _factor(1, 2, [0, 1])
-    vec, _ = two_particle_localized(a, b, Parity.FERMI)
+    vec, _ = n_particle_localized([a, b], Parity.FERMI)
     raw = reduced_spin_probe(_dyad(vec), [SpatialRegion([0]), SpatialRegion([1])], 2)
     rep = reduction_report(raw, 2, 2)
     assert rep.valid_state and rep.normalized is not None

@@ -15,7 +15,6 @@ from spinsep.states import (
     n_particle_localized,
     subspace_state,
     superposition_state,
-    two_particle_localized,
 )
 from spinsep.symmetry import ANTISYMMETRIC, Parity, exchange_character, symmetrizer
 
@@ -28,6 +27,7 @@ from oracles import (
     permanent_by_enumeration,
     rand_density,
     rand_unit,
+    shared_spatial_by_modes,
     superposition_by_brackets,
 )
 
@@ -42,7 +42,7 @@ def test_two_particle_localized_hand_oracle():
     # d_l = d_h = 2: build the 16-dim antisymmetrized vector by explicit loops
     a = _factor(0, 2, [1, 0])
     b = _factor(1, 2, [0, 1])
-    vec, raw_norm = two_particle_localized(a, b, Parity.FERMI)
+    vec, raw_norm = n_particle_localized([a, b], Parity.FERMI)
     va = kron_vec_by_loops(a.wavefunction.amplitudes, a.spin)
     vb = kron_vec_by_loops(b.wavefunction.amplitudes, b.spin)
     expected = (kron_vec_by_loops(va, vb) - kron_vec_by_loops(vb, va)) / math.sqrt(2)
@@ -55,7 +55,7 @@ def test_two_particle_localized_lies_in_its_sector(parity):
     rng = np.random.default_rng(40)
     a = LocalizedFactor(wavefunction(rand_unit(rng, 3)), rand_unit(rng, 2))
     b = LocalizedFactor(wavefunction(rand_unit(rng, 3)), rand_unit(rng, 2))
-    vec, _ = two_particle_localized(a, b, parity)
+    vec, _ = n_particle_localized([a, b], parity)
     proj = symmetrizer(2, 6, parity)
     assert frob(proj @ vec - vec) < 1e-12
 
@@ -63,12 +63,12 @@ def test_two_particle_localized_lies_in_its_sector(parity):
 def test_two_particle_localized_fermi_exclusion():
     a = _factor(0, 2, [1, 0])
     with pytest.raises(ZeroStateError):
-        two_particle_localized(a, a, Parity.FERMI)
+        n_particle_localized([a, a], Parity.FERMI)
 
 
 def test_two_particle_localized_bose_doubling():
     a = _factor(0, 2, [1, 0])
-    vec, raw_norm = two_particle_localized(a, a, Parity.BOSE)
+    vec, raw_norm = n_particle_localized([a, a], Parity.BOSE)
     v = kron(a.wavefunction.amplitudes, a.spin)
     assert np.allclose(vec, kron(v, v), atol=1e-12)
     assert abs(raw_norm - math.sqrt(2)) < 1e-12
@@ -78,7 +78,7 @@ def test_superposition_single_term_matches_pair_constructor():
     a = _factor(0, 3, [1, 0])
     b = _factor(1, 3, [0, 1])
     single, _ = superposition_state([SuperpositionTerm(a, b)], Parity.FERMI)
-    pair, _ = two_particle_localized(a, b, Parity.FERMI)
+    pair, _ = n_particle_localized([a, b], Parity.FERMI)
     assert np.allclose(single, pair, atol=1e-12)
 
 
@@ -101,13 +101,14 @@ def test_superposition_cancellation_is_loud():
 
 
 def test_n_particle_matches_two_particle():
+    # the two-particle bracket by hand: disjoint supports, so it has unit norm already
     a = _factor(0, 3, [1, 0])
     b = _factor(2, 3, [0, 1])
-    for parity in (Parity.FERMI, Parity.BOSE):
-        via_n, norm_n = n_particle_localized([a, b], parity)
-        via_two, norm_two = two_particle_localized(a, b, parity)
-        assert np.allclose(via_n, via_two, atol=1e-12)
-        assert abs(norm_n - norm_two) < 1e-12
+    for parity, sign in ((Parity.FERMI, -1), (Parity.BOSE, 1)):
+        vec, raw_norm = n_particle_localized([a, b], parity)
+        ab, ba = kron(a.vector(), b.vector()), kron(b.vector(), a.vector())
+        assert np.allclose(vec, (ab + sign * ba) / math.sqrt(2), atol=1e-12)
+        assert abs(raw_norm - 1.0) < 1e-12
 
 
 def test_n_particle_slater_norm_and_exclusion():
@@ -176,18 +177,23 @@ def test_symmetrize_constructions_match_the_kron_and_bracket_sums():
             )
         for spin_dim in (2, 3):
             side = spin_dim**2
-            num_modes = 2 * side
-            r1, r2 = SpatialRegion(range(side)), SpatialRegion(range(side, num_modes))
-            args = (r1, r2, parity, num_modes)
-            phi = rand_unit(rng, side)
-            check(embed_pure(phi, *args), embed_pure_by_terms(phi, *args), f"pure {spin_dim}")
-            for rank in range(1, side + 1):
-                sigma = rand_density(rng, side, rank)
-                check(
-                    embed_mixed(sigma, *args),
-                    embed_mixed_by_terms(sigma, *args),
-                    f"rank {rank} of {side}, {parity}",
-                )
+            # side by side with exactly the top rank's modes; then interleaved, listed
+            # in descending order, each with one mode more than the top rank
+            layouts = [
+                (2 * side, range(side), range(side, 2 * side)),
+                (2 * side + 2, range(2 * side + 1, -1, -2), range(2 * side, -1, -2)),
+            ]
+            for num_modes, modes1, modes2 in layouts:
+                args = (SpatialRegion(modes1), SpatialRegion(modes2), parity, num_modes)
+                phi = rand_unit(rng, side)
+                check(embed_pure(phi, *args), embed_pure_by_terms(phi, *args), f"pure {spin_dim}")
+                for rank in range(1, side + 1):
+                    sigma = rand_density(rng, side, rank)
+                    check(
+                        embed_mixed(sigma, *args),
+                        embed_mixed_by_terms(sigma, *args),
+                        f"rank {rank} of {side} in {num_modes} modes, {parity}",
+                    )
 
 
 def test_interleave_particles_product_vector():
@@ -200,11 +206,29 @@ def test_interleave_particles_product_vector():
     assert np.allclose(interleaved, kron(f1, s1, f2, s2), atol=1e-12)
 
 
+def test_shared_spatial_matches_the_per_mode_loop():
+    rng = np.random.default_rng(43)
+    for n in range(1, 5):
+        spec = SpaceSpec(num_modes=3, spin_dim=max(n, 2), particles=n)
+        spin_size = spec.spin_dim**n
+        amps = rand_unit(rng, 3)
+        for zero_mode in (None, 1):
+            if zero_mode is not None:
+                amps[zero_mode] = 0.0
+            broadcast = rand_unit(rng, spin_size)
+            per_mode = np.vstack([rand_unit(rng, spin_size) for _ in range(3)])
+            for spin_part in (broadcast, per_mode):
+                got = subspace_state(SubspaceKind.SHARED_SPATIAL, amps, spin_part, spec)
+                want = shared_spatial_by_modes(amps, spin_part, spec)
+                assert np.array_equal(got.vector, want.vector), (n, zero_mode, spin_part.ndim)
+                assert got.raw_norm == want.raw_norm
+
+
 def test_subspace_state_shared_mode():
     spec = SpaceSpec(num_modes=2, spin_dim=2, particles=2)
     singlet = np.array([0, 1, -1, 0], complex)
     st = subspace_state(SubspaceKind.SHARED_SPATIAL, [1, 0], singlet, spec)
-    assert st.statistics == ANTISYMMETRIC
+    assert exchange_character(st.vector, spec.particles, spec.one_particle_dim) == ANTISYMMETRIC
     # independent expectation: both particles in mode 0, singlet spins,
     # interleaved (mode1, spin1, mode2, spin2) index arithmetic by hand
     manual = np.zeros(16, complex)
@@ -221,7 +245,7 @@ def test_subspace_state_per_mode_spins_and_superposed_modes():
     singlet = np.array([0, 1, -1, 0], complex)
     per_mode = np.vstack([singlet, 2 * singlet])
     st = subspace_state(SubspaceKind.SHARED_SPATIAL, [1, 1], per_mode, spec)
-    assert st.statistics == ANTISYMMETRIC
+    assert exchange_character(st.vector, spec.particles, spec.one_particle_dim) == ANTISYMMETRIC
     assert abs(np.linalg.norm(st.vector) - 1) < 1e-12
 
 
@@ -230,7 +254,7 @@ def test_subspace_state_symmetric_spatial():
     st = subspace_state(
         SubspaceKind.SYMMETRIC_SPATIAL, [0, 1, 1, 0], [0, 1, -1, 0], spec
     )
-    assert st.statistics == ANTISYMMETRIC
+    assert exchange_character(st.vector, spec.particles, spec.one_particle_dim) == ANTISYMMETRIC
 
 
 def test_subspace_state_antisymmetric_spatial():
@@ -239,7 +263,7 @@ def test_subspace_state_antisymmetric_spatial():
         SubspaceKind.ANTISYMMETRIC_SPATIAL, [0, 1, -1, 0], [1, 0, 0, 0], spec
     )
     # globally still antisymmetric: the sign lives in the spatial part
-    assert st.statistics == ANTISYMMETRIC
+    assert exchange_character(st.vector, spec.particles, spec.one_particle_dim) == ANTISYMMETRIC
     proj = symmetrizer(2, 4, Parity.FERMI)
     assert frob(proj @ st.vector - st.vector) < 1e-12
 
@@ -258,8 +282,7 @@ def test_localized_factor_validation():
     with pytest.raises(ValueError):
         LocalizedFactor(mode_wavefunction(0, 2), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        two_particle_localized(
-            _factor(0, 2, [1, 0]),
-            LocalizedFactor(mode_wavefunction(0, 3), np.array([1.0, 0.0])),
+        n_particle_localized(
+            [_factor(0, 2, [1, 0]), LocalizedFactor(mode_wavefunction(0, 3), np.array([1.0, 0.0]))],
             Parity.BOSE,
         )
