@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import as_matrix, frob, identity, kron, matrix_unit, projection_defect
 from .lift import lift_product
-from .symmetry import Parity, compress
+from .symmetry import Parity, symmetrize
 
 PROJECTION_TOL = 1e-10
 TIE_TOL = 1e-12  # relative spread of norms read as one maximum
@@ -109,7 +109,9 @@ def bipartition_check(p, q, spin_dim: int, tol: float = 1e-10) -> BipartitionVer
             comm = commutator_expansion(p, q, a, b)
             pairs.append((label_a, label_b))
             norms.append(frob(comm))
-            proj_norms.append(frob(compress(comm, 2, p.shape[0] * spin_dim, Parity.FERMI)))
+            # The particle swap S maps qp x pq to pq x qp and exchanges the spin parts, so
+            # S C S = C and Pi C Pi = Pi C: one antisymmetrizing pass over the rows.
+            proj_norms.append(frob(symmetrize(comm, 2, p.shape[0] * spin_dim, Parity.FERMI)))
     max_norm, witness = _first_maximum(pairs, norms)
     max_proj, proj_witness = _first_maximum(pairs, proj_norms)
 

@@ -7,6 +7,7 @@ error, 4 construction error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib.resources import files
 from pathlib import Path
@@ -25,11 +26,19 @@ def _resolve_suite_dir(arg: str) -> Path:
     return path  # let the runner report the validation error
 
 
+def _tolerance(text: str) -> float:
+    """A finite positive number, the rule a scenario's own ``tolerance`` follows."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=1e-10,
         help="default tolerance for expectation checks (default 1e-10)",
     )

@@ -8,10 +8,12 @@ over permutations sigma of S_n:
 
 where <m|rho|m> is the spin block of rho at the mode tuple m and Perm_sigma
 permutes the n spin factors.  Entry (j, i) of ``R`` is the expectation of the
-lifted product whose k-th slot is ``P_k x E_{i_k j_k}``.  One kernel sums spin
-blocks over a set of mode tuples, once per sigma for the probe and once over
-every tuple for the spatial trace.  A pure state enters as its vector psi
-(rho = |psi><psi|), so its dense density matrix is never formed.
+lifted product whose k-th slot is ``P_k x E_{i_k j_k}``, so the cluster
+expectation <(P x a) . (Q x 1)> is tr(a . tr_2 R).  One kernel sums spin blocks
+over a set of mode tuples, once per sigma for the probe (Perm_sigma reorders the
+spin axes of the state's view) and once over every tuple for the spatial trace.
+A pure state enters as its vector psi (rho = |psi><psi|), so its dense density
+matrix is never formed.
 For pairwise disjoint, fully localizing regions the result is a genuine
 density matrix with trace equal to the joint localization probability; for
 overlapping regions the same formula still applies and the diagnostics
@@ -26,18 +28,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (
-    as_matrix,
-    as_vector,
-    dagger,
-    frob,
-    identity,
-    kron,
-    nth_root_dim,
-    permute_factors,
-)
-from .lift import lift_product
-from .spatial import SpaceSpec, SpatialRegion, overlap, projector
+from .linalg import as_matrix, as_vector, dagger, frob, kron, nth_root_dim
+from .spatial import SpaceSpec, SpatialRegion, overlap
 from .states import SuperpositionTerm
 from .symmetry import (
     ANTISYMMETRIC,
@@ -87,21 +79,25 @@ def _state_operand(state) -> np.ndarray:
     return state
 
 
-def _mode_blocks(state: np.ndarray, modes: tuple, num_modes: int, spin_dim: int) -> np.ndarray:
+def _mode_blocks(
+    state: np.ndarray, modes: tuple, num_modes: int, spin_dim: int, order: Sequence[int]
+) -> np.ndarray:
     """Sum of the spin blocks <m|state|m> over the mode tuples m that ``modes`` selects,
     one index per particle: an ``np.ix_`` mesh, or ``slice(None)`` each for every tuple.
-    psi enters with its mode axes first as M[m, s], giving M[modes]^T conj(M[modes]); rho
-    through its diagonal view B[m, s, t] = <m, s|rho|m, t>, summed over B[modes]."""
+    Spin factor k of the result is the state's factor ``order[k]``.  psi enters as M[m, s]
+    (mode axes first), giving M[modes]^T conj(M[modes]); rho through its diagonal view
+    B[m, s, t] = <m, s|rho|m, t>, summed over B[modes]."""
     n = len(modes)
     shape = (num_modes, spin_dim) * n
     spin_total = spin_dim**n
     if state.ndim == 1:
-        m = state.reshape(shape).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+        m = state.reshape(shape).transpose([*range(0, 2 * n, 2), *(2 * k + 1 for k in order)])
         m = m[modes].reshape(-1, spin_total)
         return m.T @ m.conj()
     # particle k: mode axis k on both sides, spin axis n + k of the row, 2n + k of the column
     axes = [a for side in (n, 2 * n) for k in range(n) for a in (k, side + k)]
-    blocks = np.einsum(state.reshape(shape * 2), axes, list(range(3 * n)))
+    out = [*range(n), *(n + k for k in order), *(2 * n + k for k in order)]
+    blocks = np.einsum(state.reshape(shape * 2), axes, out)
     return blocks[modes].sum(axis=tuple(range(n))).reshape(spin_total, spin_total)
 
 
@@ -116,45 +112,32 @@ def reduced_spin_probe(
     ``state`` is a state vector psi or a density matrix rho on the interleaved
     n-particle space; ``regions`` assigns one spatial region per measurement
     slot.  For each permutation sigma the spin blocks are summed over the mode
-    tuples whose k-th mode lies in region sigma(k), and their spin factors are
-    permuted by sigma before they are summed.  Linear in rho.
+    tuples whose k-th mode lies in region sigma(k), with their spin factors
+    permuted by sigma on the view of the state.  Linear in rho.
     """
     state = _state_operand(state)
     n = len(regions)
     one_dim = nth_root_dim(state.shape[0], n)
-    if num_modes is None:
-        if one_dim % spin_dim:
-            raise ValueError(
-                f"one-particle dimension {one_dim} is not divisible by spin dimension {spin_dim}"
-            )
-        num_modes = one_dim // spin_dim
+    num_modes = one_dim // spin_dim if num_modes is None else num_modes
     if num_modes * spin_dim != one_dim:
-        raise ValueError("mode count and spin dimension do not match the state")
+        raise ValueError(f"{num_modes} modes of spin dimension {spin_dim} do not match the state")
     for region in regions:
         region.require_within(num_modes)
 
     modes = [region.sorted_modes() for region in regions]
-    spin_total = spin_dim**n
-    spin_dims = (spin_dim,) * n
-    reduced = np.zeros((spin_total, spin_total), dtype=complex)
+    reduced = np.zeros((spin_dim**n, spin_dim**n), dtype=complex)
     for perm in enumerate_sn(n):
-        slot = _mode_blocks(state, np.ix_(*[modes[p] for p in perm]), num_modes, spin_dim)
-        reduced += permute_factors(slot, spin_dims, perm)
+        mesh = np.ix_(*[modes[p] for p in perm])
+        reduced += _mode_blocks(state, mesh, num_modes, spin_dim, np.argsort(perm))
 
-    return _with_diagnostics(reduced)
-
-
-def _with_diagnostics(matrix: np.ndarray) -> RawReduced:
-    trace = float(np.trace(matrix).real)
-    defect = frob(matrix - dagger(matrix))
-    hermitian_part = (matrix + dagger(matrix)) / 2.0
-    min_eig = float(np.linalg.eigvalsh(hermitian_part)[0])
-    return RawReduced(matrix, trace, defect, min_eig)
+    trace = float(np.trace(reduced).real)
+    defect = frob(reduced - dagger(reduced))
+    min_eig = float(np.linalg.eigvalsh((reduced + dagger(reduced)) / 2.0)[0])
+    return RawReduced(reduced, trace, defect, min_eig)
 
 
 def reduced_spin_closed_form(
     terms: Sequence[SuperpositionTerm],
-    num_terms: int | None = None,
     normalized: bool = True,
 ) -> np.ndarray:
     """Gram-weighted closed form of the reduced spin state of a two-particle
@@ -169,9 +152,6 @@ def reduced_spin_closed_form(
     """
     if not terms:
         raise ValueError("closed form needs at least one term")
-    count = len(terms) if num_terms is None else int(num_terms)
-    if count < 1:
-        raise ValueError("term count must be positive")
     spin_dim = terms[0].factor_1.spin_dim
     total = spin_dim * spin_dim
     gram_sum = np.zeros((total, total), dtype=complex)
@@ -197,7 +177,7 @@ def reduced_spin_closed_form(
                 * complex(np.vdot(t.factor_2.spin, u.factor_2.spin))
             )
     if not normalized:
-        return gram_sum / count
+        return gram_sum / len(terms)
     denom = norm_sq_half.real  # half the squared norm of the raw superposition
     if denom < 1e-24:
         raise ValueError("superposition has (numerically) zero norm")
@@ -214,7 +194,8 @@ def trace_out_spatial(state, spec: SpaceSpec) -> np.ndarray:
     state = _state_operand(state)
     if state.shape[0] != spec.total_dim:
         raise ValueError("state dimension does not match the space description")
-    return _mode_blocks(state, (slice(None),) * spec.particles, spec.num_modes, spec.spin_dim)
+    n = spec.particles
+    return _mode_blocks(state, (slice(None),) * n, spec.num_modes, spec.spin_dim, range(n))
 
 
 def classify_symmetry(
@@ -245,21 +226,14 @@ def cluster_expectation(
     num_modes: int | None = None,
 ) -> complex:
     """Expectation of the lifted product (P x a) . (Q x 1) in a two-particle
-    state: the remote-cluster probe of a single spin observable."""
+    state: the remote-cluster probe of a single spin observable, read off the
+    probe matrix R over [A, B] as tr(a . tr_2 R)."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     spin_op = as_matrix(spin_op)
     spin_dim = spin_op.shape[0]
-    one_dim = nth_root_dim(psi.size, 2)
-    if num_modes is None:
-        if one_dim % spin_dim:
-            raise ValueError("state and spin operator dimensions are incompatible")
-        num_modes = one_dim // spin_dim
-    if num_modes * spin_dim != one_dim:
-        raise ValueError("mode count and spin dimension do not match the state")
-    p = projector(region_a, num_modes)
-    q = projector(region_b, num_modes)
-    lifted = lift_product([kron(p, spin_op), kron(q, identity(spin_dim))])
-    return complex(np.vdot(psi, lifted @ psi))
+    reduced = reduced_spin_probe(psi, [region_a, region_b], spin_dim, num_modes).matrix
+    # R[(j0, k), (i0, k)] summed over k is (tr_2 R)[j0, i0]
+    return complex(np.einsum("ij,jkik->", spin_op, reduced.reshape((spin_dim,) * 4)))
 
 
 def reduction_report(

@@ -754,6 +754,9 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
             entry = {"analysis": entry}
         _require(isinstance(entry, dict), f"{where}: expected a name or an object")
         analysis = _registered(ANALYSES, entry.get("analysis"), f"{where}.analysis")
+        if entry["analysis"] == "entanglement" and "source" in entry:
+            sources = ["reduction", "spatial_trace"]
+            _require(entry["source"] in sources, f"{where}.source: expected one of {sources}")
         analyses.append(entry)
         if analysis.needs_state:
             _require(state_spec is not None, "state: required by the requested analyses")

@@ -390,6 +390,30 @@ def test_cli_json_format(tmp_path, capsys):
     assert printed["name"] == "minimal"
 
 
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_cli_tolerance_must_be_finite_and_positive(tmp_path, capsys, command, value):
+    # the flag follows the rule of a scenario's own tolerance: refused before anything runs
+    target = str(SWEEP_FILE) if command == "run" else "claims"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, target, "--tolerance", value, "--out-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "argument --tolerance: expected a finite positive number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("source", ["algebra", ["x"], {"a": 1}, 5])
+def test_entanglement_source_must_name_a_reduction(tmp_path, source):
+    analyses = ["reduction", "algebra", {"analysis": "entanglement", "source": source}]
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(_minimal_scenario(analyses=analyses)), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [
+        "validation error: analyses[2].source: expected one of ['reduction', 'spatial_trace']"
+    ]
+
+
 def test_cli_suite_has_no_format_option():
     with pytest.raises(SystemExit) as excinfo:
         main(["suite", "claims", "--format", "json"])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from spinsep.algebra import bipartition_check, hermitian_basis, local_generator
 from spinsep.linalg import frob
-from spinsep.reduction import reduced_spin_probe, trace_out_spatial
+from spinsep.reduction import cluster_expectation, reduced_spin_probe, trace_out_spatial
 from spinsep.runner import EXIT_OK, run_scenario_file, run_suite
 from spinsep.spatial import SpaceSpec, SpatialRegion
 from spinsep.symmetry import (
@@ -226,3 +226,6 @@ def test_runtime_paths_use_no_dense_reference_builders(tmp_path, monkeypatch):
     claims, sweep = SCENARIOS_DIR / "claims", SCENARIOS_DIR / "overlap_sweep.json"
     assert run_suite(claims, out_dir=tmp_path, echo=lambda *a: None) == EXIT_OK
     assert run_scenario_file(sweep, out_dir=tmp_path, echo=lambda *a: None) == EXIT_OK
+    # the remote-cluster expectation reads the probe, not the lifted product
+    psi = rand_unit(np.random.default_rng(3), 36)
+    cluster_expectation(psi, SpatialRegion([0, 1]), np.diag([1.0, -1.0]), SpatialRegion([1, 2]))

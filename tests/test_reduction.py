@@ -291,6 +291,24 @@ def test_cluster_expectation_overlap_deviates():
     assert abs(got - np.vdot(a.spin, op @ a.spin)) > 0.05
 
 
+@pytest.mark.parametrize("parity", [Parity.FERMI, Parity.BOSE])
+@pytest.mark.parametrize("d_l, d_h", [(3, 2), (5, 2), (4, 3)])
+def test_cluster_expectation_matches_the_lifted_product(parity, d_l, d_h):
+    # tr(a . tr_2 R) over the probe against <psi|lift(P x a, Q x 1)|psi> formed densely, on
+    # random (anti)symmetric psi and overlapping multi-mode regions
+    rng = np.random.default_rng([60, d_l, d_h])
+    for region_a, region_b in ([0, 1], [1, 2]), ([0], [0, 2]), (list(range(d_l)), [d_l - 1]):
+        a, b = SpatialRegion(region_a), SpatialRegion(region_b)
+        psi = rand_unit(rng, (d_l * d_h) ** 2).reshape((d_l * d_h,) * 2)
+        psi = (psi + parity.phase((1, 0)) * psi.T).reshape(-1)
+        psi /= np.linalg.norm(psi)
+        op = rand_matrix(rng, d_h)
+        got = cluster_expectation(psi, a, op, b, d_l)
+        p, q = projector(a, d_l), projector(b, d_l)
+        lifted = lift_product([kron(p, op), kron(q, np.eye(d_h))])
+        assert abs(got - np.vdot(psi, lifted @ psi)) <= 1e-12
+
+
 def test_reduction_report_gating():
     # healthy case
     a = _factor(0, 2, [1, 0])
