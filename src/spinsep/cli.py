@@ -1,7 +1,7 @@
 """Command-line entry point: run a single scenario file or a suite directory.
 
-Exit codes: 0 success, 1 expectation failure, 2 parse error, 3 validation
-error, 4 construction error.
+Exit codes: 0 success, 1 expectation failure, 2 parse or usage error, 3
+validation error, 4 construction error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
-from .runner import run_scenario_file, run_suite
+from .runner import EXIT_PARSE, run_scenario_file, run_suite
 
 
 def _resolve_suite_dir(arg: str) -> Path:
@@ -79,7 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:  # an unusable output directory is a usage error, found before any scenario runs
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.exit(EXIT_PARSE, f"spinsep: error: argument --out-dir: {exc}\n")
     if args.command == "run":
         return run_scenario_file(
             args.scenario,

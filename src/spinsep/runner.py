@@ -18,7 +18,6 @@ from pathlib import Path
 from .scenario import (
     ANALYSES,
     EXPECTATIONS,
-    STATES,
     ConstructionError,
     Scenario,
     ScenarioParseError,
@@ -51,16 +50,15 @@ class ScenarioOutcome:
 def build_state(scenario: Scenario):
     """Construct the scenario's global state vector: returns (vector, info-dict),
     raising ConstructionError when the state vanishes or cannot be realized."""
-    spec = scenario.state_spec
-    if spec is None:
+    if scenario.build is None:
         return None, None
     space = scenario.space
     try:
-        built = STATES[spec["kind"]].build(scenario, spec)
+        built = scenario.build()
     except ValueError as exc:  # ZeroStateError included
         raise ConstructionError(str(exc)) from exc
     return built.vector, {
-        "kind": spec["kind"],
+        "kind": scenario.raw["state"]["kind"],
         "raw_norm": built.raw_norm,
         "statistics": exchange_character(built.vector, space.particles, space.one_particle_dim),
         "dim": int(built.vector.size),
@@ -68,7 +66,7 @@ def build_state(scenario: Scenario):
 
 
 def execute_scenario(scenario: Scenario) -> ScenarioOutcome:
-    """Run every requested analysis and assemble the deterministic report."""
+    """Build the state, run the checked analyses in order and assemble the deterministic report."""
     timings: list[tuple[str, float]] = []
     results: dict = {}
     side_files: dict[str, list[str]] = {}
@@ -77,13 +75,11 @@ def execute_scenario(scenario: Scenario) -> ScenarioOutcome:
     vector, construction = build_state(scenario)
     timings.append(("construction", time.perf_counter() - start))
 
-    for opts in scenario.analyses:
-        kind = opts["analysis"]
-        analysis = ANALYSES[kind]
+    for kind, run in scenario.analyses.items():
         start = time.perf_counter()
         try:
-            results[kind] = analysis.run(scenario, opts, vector, results)
-            side_files.update(analysis.side_files(results[kind]))
+            results[kind] = run(vector, results)
+            side_files.update(ANALYSES[kind].side_files(results[kind]))
         except ConstructionError as exc:
             results[kind] = {"error": str(exc)}
         timings.append((kind, time.perf_counter() - start))

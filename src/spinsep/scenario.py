@@ -17,8 +17,13 @@ A scenario is a JSON object with the keys
 Complex numbers are written as two-element ``[re, im]`` arrays (plain numbers
 are accepted as reals); matrices are row-major nested arrays of entries.
 
-The registry functions call library code by module-global name, never through
-a stored reference, so wrappers installed on module globals see every call.
+Parsing is the only phase that checks input.  A ``STATES`` entry maps
+``(scenario, spec)`` to ``build() -> BuiltState``, an ``ANALYSES`` entry's
+``check`` maps ``(scenario, options, where)`` to ``run(state, results)``;
+each raises ``ScenarioValidationError`` naming the faulty field, or returns a
+closure that only computes.  The closures call library code by module-global
+name, never through a stored reference, so wrappers installed on module
+globals after parsing see every call.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .spatial import (
     wavefunction,
 )
 from .states import (
+    BuiltState,
     LocalizedFactor,
     SubspaceKind,
     SuperpositionTerm,
@@ -146,14 +152,13 @@ class Scenario:
     name: str
     space: SpaceSpec
     parity: Parity | None
-    region_names: list[str]
-    regions: dict[str, SpatialRegion]
-    state_spec: dict | None
-    analyses: list[dict]
+    regions: dict[str, SpatialRegion]  # in the order the file lists them
     seed: int | None
     tolerance: float | None
     expectations: dict  # key -> value validated (matrices decoded) by its EXPECTATIONS entry
     raw: dict = field(repr=False)
+    build: Callable[[], BuiltState] | None = None  # the checked state; None without one
+    analyses: dict[str, Callable[[Any, dict], Any]] = field(default_factory=dict)  # name -> run
 
     def region(self, name: str) -> SpatialRegion:
         if isinstance(name, str) and name in self.regions:
@@ -209,6 +214,12 @@ def _positive_int(obj, key: str, where: str) -> int:
 # ---------------------------------------------------------------- state kinds
 
 
+def _given(scenario: Scenario, key: str, purpose: str = "to build this state"):
+    """The scenario's ``parity`` or ``seed``, which ``purpose`` requires."""
+    _require(getattr(scenario, key) is not None, f"{key}: required {purpose}")
+    return getattr(scenario, key)
+
+
 def _sized_vector(value, where: str, size: int) -> np.ndarray:
     vector = decode_vector(value, where)
     _require(vector.size == size, f"{where}: wrong dimension")
@@ -243,12 +254,13 @@ def _factor_from_spec(obj, scenario: Scenario, where: str) -> LocalizedFactor:
     return LocalizedFactor(wave, spin)
 
 
-def _embed_regions(
-    scenario: Scenario, spec: dict, rank: int = 1, where: str = "state.regions"
-) -> tuple[SpatialRegion, SpatialRegion]:
-    """The two embedding regions, each with one mode per eigenvector of a rank-``rank``
-    target; ``where`` names the field a shortfall is reported against."""
-    names = spec.get("regions", scenario.region_names[:2])
+def _embedding(scenario: Scenario, spec: dict, rank: int = 1, where: str = "state.regions"):
+    """The arguments after the target of ``embed_pure`` and ``embed_mixed``; each region holds
+    one mode per eigenvector of a rank-``rank`` target, or ``where`` reports the shortfall."""
+    parity = _given(scenario, "parity")
+    kind = spec["kind"]
+    _require(scenario.space.particles == 2, f"state.kind {kind}: needs exactly two particles")
+    names = spec.get("regions", list(scenario.regions)[:2])
     _require(
         isinstance(names, list) and len(names) == 2, "state.regions: expected two region names"
     )
@@ -260,22 +272,22 @@ def _embed_regions(
             f"{where}: region {name!r} has {len(region.modes)} modes "
             f"but the target has rank {rank}",
         )
-    return r1, r2
+    return r1, r2, parity, scenario.space.num_modes
 
 
-def _build_localized(scenario: Scenario, spec: dict):
-    factors = spec.get("factors")
+def _check_localized(scenario: Scenario, spec: dict):
+    parity = _given(scenario, "parity")
+    specs = spec.get("factors")
     _require(
-        isinstance(factors, list) and len(factors) == scenario.space.particles,
+        isinstance(specs, list) and len(specs) == scenario.space.particles,
         "state.factors: expected one factor per particle",
     )
-    return n_particle_localized(
-        [_factor_from_spec(f, scenario, f"state.factors[{k}]") for k, f in enumerate(factors)],
-        scenario.parity,
-    )
+    factors = [_factor_from_spec(f, scenario, f"state.factors[{k}]") for k, f in enumerate(specs)]
+    return lambda: n_particle_localized(factors, parity)
 
 
-def _build_superposition(scenario: Scenario, spec: dict):
+def _check_superposition(scenario: Scenario, spec: dict):
+    parity = _given(scenario, "parity")
     terms_obj = spec.get("terms")
     _require(isinstance(terms_obj, list) and terms_obj, "state.terms: expected a nonempty array")
     _require(scenario.space.particles == 2, "state.kind superposition: needs exactly two particles")
@@ -283,20 +295,17 @@ def _build_superposition(scenario: Scenario, spec: dict):
     for k, t in enumerate(terms_obj):
         where = f"state.terms[{k}]"
         _require(isinstance(t, dict), f"{where}: expected an object")
-        weight = 1.0 + 0.0j
-        if "weight" in t:
-            weight = decode_complex(t["weight"], f"{where}.weight")
         terms.append(
             SuperpositionTerm(
                 _factor_from_spec(t.get("factor_1"), scenario, f"{where}.factor_1"),
                 _factor_from_spec(t.get("factor_2"), scenario, f"{where}.factor_2"),
-                weight=weight,
+                weight=decode_complex(t.get("weight", 1.0), f"{where}.weight"),
             )
         )
-    return superposition_state(terms, scenario.parity)
+    return lambda: superposition_state(terms, parity)
 
 
-def _build_shared_spatial(scenario: Scenario, spec: dict):
+def _check_shared_spatial(scenario: Scenario, spec: dict):
     space = scenario.space
     spin_dim = space.spin_dim**space.particles
     spatial = _sized_vector(spec.get("mode_amplitudes"), "state.mode_amplitudes", space.num_modes)
@@ -311,203 +320,217 @@ def _build_shared_spatial(scenario: Scenario, spec: dict):
         )
     else:
         spin_part = _sized_vector(spec.get("spin"), "state.spin", spin_dim)
-    return subspace_state(SubspaceKind.SHARED_SPATIAL, spatial, spin_part, space)
+    return lambda: subspace_state(SubspaceKind.SHARED_SPATIAL, spatial, spin_part, space)
 
 
-def _build_spatial_sector(scenario: Scenario, spec: dict):
+def _check_spatial_sector(scenario: Scenario, spec: dict):
     space = scenario.space
     spatial = _sized_vector(spec.get("spatial"), "state.spatial", space.num_modes**space.particles)
     spin_part = _sized_vector(spec.get("spin"), "state.spin", space.spin_dim**space.particles)
-    return subspace_state(SubspaceKind(spec["kind"]), spatial, spin_part, space)
+    kind = SubspaceKind(spec["kind"])
+    return lambda: subspace_state(kind, spatial, spin_part, space)
 
 
-def _build_embed_pure(scenario: Scenario, spec: dict):
+def _check_embed_pure(scenario: Scenario, spec: dict):
     target = _sized_vector(spec.get("target"), "state.target", scenario.space.spin_dim**2)
-    r1, r2 = _embed_regions(scenario, spec)
+    placement = _embedding(scenario, spec)
     phi, _ = _checked(lambda: normalize(target), "state.target")
-    return embed_pure(phi, r1, r2, scenario.parity, scenario.space.num_modes)
+    return lambda: embed_pure(phi, *placement)
 
 
-def _build_embed_mixed(scenario: Scenario, spec: dict):
+def _check_embed_mixed(scenario: Scenario, spec: dict):
     target = decode_matrix(spec.get("target"), "state.target")
     _require(target.shape == (scenario.space.spin_dim**2,) * 2, "state.target: wrong dimension")
     rank = _checked(lambda: embedding_rank(target), "state.target")
-    r1, r2 = _embed_regions(scenario, spec, rank)
-    return embed_mixed(target, r1, r2, scenario.parity, scenario.space.num_modes)
+    placement = _embedding(scenario, spec, rank)
+    return lambda: embed_mixed(target, *placement)
 
 
-def _build_embed_random(scenario: Scenario, spec: dict):
+def _check_embed_random(scenario: Scenario, spec: dict):
+    rng = np.random.default_rng(_given(scenario, "seed", "for randomized scenarios"))
     dim = scenario.space.spin_dim**2
     rank = spec.get("rank", dim)
     _require(is_integer(rank) and 1 <= rank <= dim, "state.rank: out of range")
-    r1, r2 = _embed_regions(scenario, spec, rank, "state.rank")
-    rng = np.random.default_rng(scenario.seed)
+    placement = _embedding(scenario, spec, rank, "state.rank")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     sigma = g @ g.conj().T
     sigma = sigma / np.trace(sigma).real
-    return embed_mixed(sigma, r1, r2, scenario.parity, scenario.space.num_modes)
-
-
-@dataclass(frozen=True)
-class StateKind:
-    """``build(scenario, state spec)`` returns a ``BuiltState``."""
-
-    build: Callable[[Scenario, dict], Any]
-    needs_parity: bool = True  # subspace kinds fix their own projections
-    needs_seed: bool = False
+    return lambda: embed_mixed(sigma, *placement)
 
 
 STATES = {
-    "localized": StateKind(_build_localized),
-    "superposition": StateKind(_build_superposition),
-    "shared_spatial": StateKind(_build_shared_spatial, needs_parity=False),
-    "symmetric_spatial": StateKind(_build_spatial_sector, needs_parity=False),
-    "antisymmetric_spatial": StateKind(_build_spatial_sector, needs_parity=False),
-    "embed_pure": StateKind(_build_embed_pure),
-    "embed_mixed": StateKind(_build_embed_mixed),
-    "embed_random": StateKind(_build_embed_random, needs_seed=True),
+    "localized": _check_localized,
+    "superposition": _check_superposition,
+    "shared_spatial": _check_shared_spatial,
+    "symmetric_spatial": _check_spatial_sector,
+    "antisymmetric_spatial": _check_spatial_sector,
+    "embed_pure": _check_embed_pure,
+    "embed_mixed": _check_embed_mixed,
+    "embed_random": _check_embed_random,
 }
 
 
 # ---------------------------------------------------------------- analyses
 
 
-def _run_reduction(scenario: Scenario, opts: dict, state, results: dict) -> dict:
+def _leading_regions(scenario: Scenario, count: int, kind: str) -> list[str]:
+    """The names of the scenario's first ``count`` regions, which analysis ``kind`` needs."""
+    names, title = list(scenario.regions), ANALYSES[kind].title
+    _require(len(names) >= count, f"regions: {title} needs at least {count} named regions")
+    return names[:count]
+
+
+def _check_reduction(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
-    names = opts.get("regions", scenario.region_names[: space.particles])
+    names = opts.get("regions", _leading_regions(scenario, space.particles, "reduction"))
     _require(
         isinstance(names, list) and len(names) == space.particles,
         "analysis.regions: expected one region per particle",
     )
     regions = [scenario.region(n) for n in names]
-    raw = reduced_spin_probe(state, regions, space.spin_dim, space.num_modes)
-    rep = reduction_report(raw, space.particles, space.spin_dim)
-    return {
-        "raw_matrix": encode_matrix(raw.matrix),
-        "trace": float(raw.trace),
-        "hermiticity_defect": float(raw.hermiticity_defect),
-        "min_eigenvalue": float(raw.min_eigenvalue),
-        "normalized": None if rep.normalized is None else encode_matrix(rep.normalized),
-        "symmetry_class": rep.symmetry_class,
-        "valid_state": bool(rep.valid_state),
-    }
+
+    def run(state, results: dict) -> dict:
+        raw = reduced_spin_probe(state, regions, space.spin_dim, space.num_modes)
+        rep = reduction_report(raw, space.particles, space.spin_dim)
+        return {
+            "raw_matrix": encode_matrix(raw.matrix),
+            "trace": float(raw.trace),
+            "hermiticity_defect": float(raw.hermiticity_defect),
+            "min_eigenvalue": float(raw.min_eigenvalue),
+            "normalized": None if rep.normalized is None else encode_matrix(rep.normalized),
+            "symmetry_class": rep.symmetry_class,
+            "valid_state": bool(rep.valid_state),
+        }
+
+    return run
 
 
-def _run_spatial_trace(scenario: Scenario, opts: dict, state, results: dict) -> dict:
+def _check_spatial_trace(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
-    reduced = trace_out_spatial(state, space)
-    verdict = classify_symmetry(reduced, space.particles, space.spin_dim)
-    return {
-        "matrix": encode_matrix(reduced),
-        "trace": float(np.trace(reduced).real),
-        "symmetry_class": verdict.label,
-        "antisymmetric_defect": float(verdict.antisymmetric_defect),
-        "symmetric_defect": float(verdict.symmetric_defect),
-    }
+
+    def run(state, results: dict) -> dict:
+        reduced = trace_out_spatial(state, space)
+        verdict = classify_symmetry(reduced, space.particles, space.spin_dim)
+        return {
+            "matrix": encode_matrix(reduced),
+            "trace": float(np.trace(reduced).real),
+            "symmetry_class": verdict.label,
+            "antisymmetric_defect": float(verdict.antisymmetric_defect),
+            "symmetric_defect": float(verdict.symmetric_defect),
+        }
+
+    return run
 
 
-def _run_entanglement(scenario: Scenario, opts: dict, state, results: dict) -> dict:
+def _check_entanglement(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
-    source = opts.get("source")
-    if source is None:
-        source = "reduction" if "reduction" in results else "spatial_trace"
-    entry = results.get(source)
-    if entry is None or "error" in entry:
-        raise ConstructionError(f"entanglement analysis needs a successful {source!r} analysis")
-    encoded = entry.get("normalized") if source == "reduction" else entry.get("matrix")
-    if encoded is None:
-        raise ConstructionError("no normalized reduced state available")
-    # encode_matrix wrote these [re, im] pairs in this run: read them back bit for bit
-    rho = np.array(encoded, dtype=float).view(complex)[..., 0]
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 1e-8:
-        rho = rho / trace
-    d_left = space.spin_dim
-    d_right = space.spin_dim ** (space.particles - 1)
-    purity = float(np.trace(rho @ rho).real)
-    out = {
-        "source": source,
-        "negativity": float(negativity(rho, d_left, d_right)),
-        "entropy_bits": float(von_neumann_entropy(rho, validate=False)),
-        "purity": purity,
-        "separability": ppt_classification(rho, d_left, d_right),
-        "schmidt_coefficients": None,
-    }
-    if purity >= 1.0 - 1e-10:
-        psi = np.linalg.eigh(rho)[1][:, -1]
-        coeffs = schmidt(psi, d_left, d_right).coefficients
-        out["schmidt_coefficients"] = [float(c) for c in coeffs]
-    return out
+    sources = ["reduction", "spatial_trace"]
+    given = opts.get("source")
+    _require("source" not in opts or given in sources, f"{where}.source: expected one of {sources}")
+
+    def run(state, results: dict) -> dict:
+        source = given or ("reduction" if "reduction" in results else "spatial_trace")
+        entry = results.get(source)
+        if entry is None or "error" in entry:
+            raise ConstructionError(f"entanglement analysis needs a successful {source!r} analysis")
+        encoded = entry.get("normalized") if source == "reduction" else entry.get("matrix")
+        if encoded is None:
+            raise ConstructionError("no normalized reduced state available")
+        # encode_matrix wrote these [re, im] pairs in this run: read them back bit for bit
+        rho = np.array(encoded, dtype=float).view(complex)[..., 0]
+        trace = float(np.trace(rho).real)
+        if abs(trace - 1.0) > 1e-8:
+            rho = rho / trace
+        d_left, d_right = space.spin_dim, space.spin_dim ** (space.particles - 1)
+        purity = float(np.trace(rho @ rho).real)
+        out = {
+            "source": source,
+            "negativity": float(negativity(rho, d_left, d_right)),
+            "entropy_bits": float(von_neumann_entropy(rho, validate=False)),
+            "purity": purity,
+            "separability": ppt_classification(rho, d_left, d_right),
+            "schmidt_coefficients": None,
+        }
+        if purity >= 1.0 - 1e-10:
+            psi = np.linalg.eigh(rho)[1][:, -1]
+            coeffs = schmidt(psi, d_left, d_right).coefficients
+            out["schmidt_coefficients"] = [float(c) for c in coeffs]
+        return out
+
+    return run
 
 
-def _run_algebra(scenario: Scenario, opts: dict, state, results: dict) -> list[dict]:
+def _check_algebra(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
-    pairs = opts.get("pairs", [[scenario.region_names[0], scenario.region_names[1]]])
+    pairs = opts.get("pairs", [_leading_regions(scenario, 2, "algebra")])
     _require(
         isinstance(pairs, list) and pairs, "analysis.pairs: expected a nonempty array of pairs"
     )
-    entries = []
+    checked = []
     for pair in pairs:
         _require(
             isinstance(pair, list) and len(pair) == 2,
             "analysis.pairs: each pair needs two region names",
         )
-        p = projector(scenario.region(pair[0]), space.num_modes)
-        q = projector(scenario.region(pair[1]), space.num_modes)
-        verdict = bipartition_check(p, q, space.spin_dim)
-        entries.append(
-            {
-                "pair": [pair[0], pair[1]],
-                "commutes": bool(verdict.commutes),
-                "max_commutator_norm": float(verdict.max_commutator_norm),
-                "witness": None if verdict.witness is None else list(verdict.witness),
-                "projected_max_norm": float(verdict.projected_max_norm),
-            }
-        )
-    return entries
+        checked.append((pair, *(projector(scenario.region(n), space.num_modes) for n in pair)))
+
+    def run(state, results: dict) -> list[dict]:
+        entries = []
+        for pair, p, q in checked:
+            verdict = bipartition_check(p, q, space.spin_dim)
+            entries.append(
+                {
+                    "pair": [pair[0], pair[1]],
+                    "commutes": bool(verdict.commutes),
+                    "max_commutator_norm": float(verdict.max_commutator_norm),
+                    "witness": None if verdict.witness is None else list(verdict.witness),
+                    "projected_max_norm": float(verdict.projected_max_norm),
+                }
+            )
+        return entries
+
+    return run
 
 
-def _run_overlap_sweep(scenario: Scenario, opts: dict, state, results: dict) -> dict:
+def _check_overlap_sweep(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
+    default_1, default_2 = _leading_regions(scenario, 2, "overlap_sweep")
+    parity = _given(scenario, "parity", "by the overlap sweep")
     _require(space.spin_dim >= 2, "overlap_sweep: needs at least two spin levels")
     steps = opts.get("steps", 21)
     _require(
         is_integer(steps) and 2 <= steps <= MAX_SWEEP_STEPS,
         f"overlap_sweep.steps: expected an integer in [2, {MAX_SWEEP_STEPS}]",
     )
-    region1 = scenario.region(opts.get("region_1", scenario.region_names[0]))
-    region2 = scenario.region(opts.get("region_2", scenario.region_names[1]))
+    region1 = scenario.region(opts.get("region_1", default_1))
+    region2 = scenario.region(opts.get("region_2", default_2))
     eye = np.eye(space.spin_dim, dtype=complex)
     spin_1, spin_2 = (
         _unit_spin(opts[key], f"overlap_sweep.{key}", space) if key in opts else default
         for key, default in (("spin_1", eye[0]), ("spin_2", eye[-1]))
     )
-
-    m1 = region1.sorted_modes()[0]
-    m2 = region2.sorted_modes()[0]
+    m1, m2 = region1.sorted_modes()[0], region2.sorted_modes()[0]
     _require(m1 != m2, f"overlap_sweep.region_2: starts at mode {m2}, as region_1 does")
-    f_wave = mode_wavefunction(m1, space.num_modes)
+    f_factor = LocalizedFactor(mode_wavefunction(m1, space.num_modes), spin_1)
 
-    rows: list[list[float | None]] = []
-    for k in range(steps):
-        theta = (math.pi / 2.0) * k / (steps - 1)
-        g_amps = np.zeros(space.num_modes, dtype=complex)
-        g_amps[m1] = math.sin(theta)
-        g_amps[m2] = math.cos(theta)
-        g_wave = Wavefunction(g_amps)
-        pair, _ = n_particle_localized(
-            [LocalizedFactor(f_wave, spin_1), LocalizedFactor(g_wave, spin_2)],
-            scenario.parity,
-        )
-        raw = reduced_spin_probe(pair, [region1, region2], space.spin_dim, space.num_modes)
-        rep = reduction_report(raw, 2, space.spin_dim)
-        neg: float | None = None
-        ent: float | None = None
-        if rep.normalized is not None:
-            neg = float(negativity(rep.normalized, space.spin_dim, space.spin_dim))
-            ent = float(von_neumann_entropy(rep.normalized, validate=False))
-        rows.append([math.sin(theta), float(raw.trace), float(raw.min_eigenvalue), neg, ent])
-    return {"csv": f"{scenario.name}_sweep.csv", "rows": rows}
+    def run(state, results: dict) -> dict:
+        rows: list[list[float | None]] = []
+        for k in range(steps):
+            theta = (math.pi / 2.0) * k / (steps - 1)
+            g_amps = np.zeros(space.num_modes, dtype=complex)
+            g_amps[[m1, m2]] = math.sin(theta), math.cos(theta)
+            g_factor = LocalizedFactor(Wavefunction(g_amps), spin_2)
+            pair, _ = n_particle_localized([f_factor, g_factor], parity)
+            raw = reduced_spin_probe(pair, [region1, region2], space.spin_dim, space.num_modes)
+            rep = reduction_report(raw, 2, space.spin_dim)
+            neg = ent = None
+            if rep.normalized is not None:
+                neg = float(negativity(rep.normalized, space.spin_dim, space.spin_dim))
+                ent = float(von_neumann_entropy(rep.normalized, validate=False))
+            rows.append([math.sin(theta), float(raw.trace), float(raw.min_eigenvalue), neg, ent])
+        return {"csv": f"{scenario.name}_sweep.csv", "rows": rows}
+
+    return run
 
 
 def _sweep_csv(entry: dict) -> dict[str, list[str]]:
@@ -523,39 +546,36 @@ def _spin_matrix_entries(space: SpaceSpec) -> int:
 
 @dataclass(frozen=True)
 class Analysis:
-    """``run(scenario, options, state vector, results so far)`` returns the report entry, which
-    ``summary`` and ``side_files`` render; parsing checks the rest, naming it ``title``.
-    ``array_entries`` is the size of the largest array the analysis allocates."""
+    """``check(scenario, options, where)`` validates the options listed at ``where`` and returns
+    ``run(state vector, results so far)``, which returns the entry ``summary`` and ``side_files``
+    render; ``title`` names the analysis in messages, ``array_entries`` its largest array."""
 
-    run: Callable[[Scenario, dict, Any, dict], Any]
+    check: Callable[[Scenario, dict, str], Callable[[Any, dict], Any]]
     summary: Callable[[Any], str]
     title: str
     array_entries: Callable[[SpaceSpec], int]
     side_files: Callable[[Any], dict[str, list[str]]] = lambda entry: {}
     needs_state: bool = False
-    needs_parity: bool = False
-    min_regions: Callable[[SpaceSpec], int] = lambda space: 0
 
 
 ANALYSES = {
     "reduction": Analysis(
-        _run_reduction,
+        _check_reduction,
         lambda e: f"  reduction: trace {e['trace']:.12g}, min eig "
         f"{e['min_eigenvalue']:.3e}, class {e['symmetry_class']}",
         "the probe reduction",
         _spin_matrix_entries,
         needs_state=True,
-        min_regions=lambda space: space.particles,
     ),
     "spatial_trace": Analysis(
-        _run_spatial_trace,
+        _check_spatial_trace,
         lambda e: f"  spatial_trace: class {e['symmetry_class']}",
         "the spatial trace",
         _spin_matrix_entries,
         needs_state=True,
     ),
     "entanglement": Analysis(
-        _run_entanglement,
+        _check_entanglement,
         lambda e: f"  entanglement: negativity {e['negativity']:.12g}, entropy "
         f"{e['entropy_bits']:.12g} bits, {e['separability']}",
         "the entanglement analysis",
@@ -563,7 +583,7 @@ ANALYSES = {
         needs_state=True,
     ),
     "algebra": Analysis(
-        _run_algebra,
+        _check_algebra,
         lambda entries: "\n".join(
             f"  algebra {e['pair']}: commutes={e['commutes']} "
             f"(norm {e['max_commutator_norm']:.3e})"
@@ -571,16 +591,13 @@ ANALYSES = {
         ),
         "the algebra analysis",
         lambda space: space.one_particle_dim**4,  # a commutator on the two-particle space
-        min_regions=lambda space: 2,
     ),
     "overlap_sweep": Analysis(
-        _run_overlap_sweep,
+        _check_overlap_sweep,
         lambda e: f"  overlap_sweep: {len(e['rows'])} steps -> {e['csv']}",
         "the overlap sweep",
         lambda space: max(space.one_particle_dim**2, space.spin_dim**4),  # two-particle states
         side_files=_sweep_csv,
-        needs_parity=True,
-        min_regions=lambda space: 2,
     ),
 }
 
@@ -674,7 +691,7 @@ EXPECTATIONS = {
 
 
 def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
-    """Validate a decoded JSON object and build a Scenario."""
+    """Validate a decoded JSON object into a Scenario whose state and analyses are ready calls."""
     _require(isinstance(obj, dict), f"{source}: scenario must be a JSON object")
     _require_finite(obj)
 
@@ -703,7 +720,6 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
 
     regions_obj = obj.get("regions", [])
     _require(isinstance(regions_obj, list), "regions: expected an array")
-    region_names: list[str] = []
     regions: dict[str, SpatialRegion] = {}
     for k, entry in enumerate(regions_obj):
         where = f"regions[{k}]"
@@ -720,7 +736,6 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
             all(0 <= m < space.num_modes for m in modes),
             f"{where}.modes: indices must lie in [0, {space.num_modes})",
         )
-        region_names.append(rname)
         regions[rname] = SpatialRegion(modes)
 
     seed = obj.get("seed")
@@ -735,38 +750,28 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         tolerance = _finite_real(tolerance)
         _require(tolerance is not None and tolerance > 0, "tolerance: expected a positive number")
 
+    # registrations and size budgets first, so no spec is decoded for a scenario too large to run
     state_spec = obj.get("state")
     if state_spec is not None:
         _require(isinstance(state_spec, dict), "state: expected an object")
-        state = _registered(STATES, state_spec.get("kind"), "state.kind")
-        if state.needs_seed:
-            _require(seed is not None, "seed: required for randomized scenarios")
-        if state.needs_parity:
-            _require(parity is not None, "parity: required to build this state")
+        check_state = _registered(STATES, state_spec.get("kind"), "state.kind")
         _within_budget(space.total_dim, "the state vector")
 
     analyses_obj = obj.get("analyses")
     _require(isinstance(analyses_obj, list) and analyses_obj, "analyses: required nonempty array")
-    analyses: list[dict] = []
+    listed: dict[str, tuple[str, dict, Analysis]] = {}
     for k, entry in enumerate(analyses_obj):
         where = f"analyses[{k}]"
         if isinstance(entry, str):
             entry = {"analysis": entry}
         _require(isinstance(entry, dict), f"{where}: expected a name or an object")
         analysis = _registered(ANALYSES, entry.get("analysis"), f"{where}.analysis")
-        if entry["analysis"] == "entanglement" and "source" in entry:
-            sources = ["reduction", "spatial_trace"]
-            _require(entry["source"] in sources, f"{where}.source: expected one of {sources}")
-        analyses.append(entry)
+        kind = entry["analysis"]
+        if kind in listed:  # results are keyed by analysis name
+            raise ScenarioValidationError(f"{where}.analysis: {kind!r} repeats {listed[kind][0]}")
+        listed[kind] = (where, entry, analysis)
         if analysis.needs_state:
             _require(state_spec is not None, "state: required by the requested analyses")
-        min_regions = analysis.min_regions(space)
-        _require(
-            len(region_names) >= min_regions,
-            f"regions: {analysis.title} needs at least {min_regions} named regions",
-        )
-        if analysis.needs_parity:
-            _require(parity is not None, f"parity: required by {analysis.title}")
         _within_budget(analysis.array_entries(space), f"the largest array of {analysis.title}")
 
     expectations_obj = obj.get("expectations", {})
@@ -777,19 +782,12 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         _require(key in EXPECTATIONS, f"{where}: unknown expectation")
         expectations[key] = EXPECTATIONS[key].value(value, where, space)
 
-    return Scenario(
-        name=name,
-        space=space,
-        parity=parity,
-        region_names=region_names,
-        regions=regions,
-        state_spec=state_spec,
-        analyses=analyses,
-        seed=seed,
-        tolerance=tolerance,
-        expectations=expectations,
-        raw=obj,
-    )
+    scenario = Scenario(name, space, parity, regions, seed, tolerance, expectations, raw=obj)
+    if state_spec is not None:
+        scenario.build = check_state(scenario, state_spec)
+    for kind, (where, entry, analysis) in listed.items():
+        scenario.analyses[kind] = analysis.check(scenario, entry, where)
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -153,7 +153,12 @@ def test_parse_scenario_rejects_arrays_above_the_size_budget(obj, what):
 def test_parse_scenario_accepts_arrays_at_the_size_budget():
     # a 2^24-entry state vector is within the budget, one more mode is not
     at_limit = _minimal_scenario(
-        space={"modes": 4096, "spin_levels": 1, "particles": 2}, analyses=["spatial_trace"]
+        space={"modes": 4096, "spin_levels": 1, "particles": 2},
+        state={
+            "kind": "localized",
+            "factors": [{"mode": 0, "spin": [1]}, {"mode": 1, "spin": [1]}],
+        },
+        analyses=["spatial_trace"],
     )
     assert parse_scenario(at_limit).space.total_dim == MAX_ARRAY_ENTRIES
     at_limit["space"]["modes"] = 4097
@@ -218,6 +223,9 @@ def test_run_scenario_exit_codes(tmp_path):
     lines = []
     assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
     assert lines == ["validation error: unknown region ['left']"]
+    with pytest.raises(ScenarioValidationError) as caught:
+        parse_scenario(pairs_claim)
+    assert str(caught.value) == "unknown region ['left']"
 
     # malformed expectation matrices fail validation too
     claim["expectations"]["reduced_matrix"] = [[math.nan] * 4] * 4
@@ -318,7 +326,8 @@ RANK_TWO = [[0.5 if row == col in (0, 3) else 0 for col in range(4)] for row in 
     ],
 )
 def test_malformed_state_specs_fail_validation(tmp_path, file, path, value, field):
-    # each fault is in the scenario, not in the construction, so it exits 3 naming the field
+    # each fault is in the scenario, not in the construction, so parsing finds it and the run
+    # exits 3 naming the field
     scenario = json.loads((CLAIMS_DIR / file).read_text(encoding="utf-8"))
     parent = scenario
     for key in path[:-1]:
@@ -332,6 +341,66 @@ def test_malformed_state_specs_fail_validation(tmp_path, file, path, value, fiel
         code = run_scenario_file(malformed, out_dir=tmp_path, echo=lines.append)
     assert code == EXIT_VALIDATION
     assert lines == [lines[0]] and lines[0].startswith(f"validation error: {field}:")
+    with pytest.raises(ScenarioValidationError) as caught:
+        parse_scenario(scenario)
+    assert lines == [f"validation error: {caught.value}"]
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"kind": "embed_pure", "target": [0, 1, -1, 0]},
+        {"kind": "embed_mixed", "target": RANK_TWO},
+        {"kind": "embed_random", "rank": 2},
+    ],
+)
+def test_embeddings_need_two_particles(tmp_path, state):
+    # a two-spin target has no three-particle embedding: a fault of the spec, not of construction
+    obj = _minimal_scenario(
+        space={"modes": 4, "spin_levels": 2, "particles": 3},
+        regions=[{"name": "left", "modes": [0, 1]}, {"name": "right", "modes": [2, 3]}],
+        state=state,
+        analyses=["spatial_trace"],
+        seed=7,
+    )
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [f"validation error: state.kind {state['kind']}: needs exactly two particles"]
+
+
+def test_a_repeated_analysis_fails_validation(tmp_path):
+    # results are keyed by analysis name, so a second reduction would replace the first
+    analyses = [
+        {"analysis": "reduction", "regions": ["left", "right"]},
+        "spatial_trace",
+        {"analysis": "reduction", "regions": ["right", "left"]},
+    ]
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(_minimal_scenario(analyses=analyses)), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == ["validation error: analyses[2].analysis: 'reduction' repeats analyses[0]"]
+    assert not (tmp_path / "minimal.report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_unusable_out_dir_is_a_usage_error(tmp_path, capsys, command, below):
+    # a file, or a path below a file, cannot hold reports: one line and exit 2, before any run
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out_dir = blocker / "out" if below else blocker
+    target = str(SWEEP_FILE) if command == "run" else "claims"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, target, "--out-dir", str(out_dir)])
+    assert excinfo.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("spinsep: error: argument --out-dir: ")
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
 """Every registered state kind, run through the scenario runner and checked
-against a direct call of the library functions it wraps."""
+against a direct call of the library functions it wraps; and every bundled or
+per-kind scenario, executed with the parse-time checks disabled."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spinsep import scenario
 from spinsep.embedding import embed_mixed, embed_pure
 from spinsep.reduction import reduced_spin_probe, trace_out_spatial
-from spinsep.runner import execute_scenario
+from spinsep.runner import execute_scenario, report_json
 from spinsep.scenario import STATES, decode_matrix, parse_scenario
 from spinsep.spatial import SpaceSpec, SpatialRegion, mode_wavefunction, wavefunction
 from spinsep.states import (
@@ -192,3 +196,21 @@ def test_state_kind_runs_through_the_runner(kind):
     encoded = entry["raw_matrix"] if analysis == "reduction" else entry["matrix"]
     got = decode_matrix(encoded, f"results.{analysis}")
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_parsed_scenarios_execute_without_checks(monkeypatch):
+    # parsing checks and decodes every field: execution builds and computes, and never checks
+    bundled = Path(__file__).resolve().parents[1] / "src" / "spinsep" / "scenarios"
+    objs = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(bundled.rglob("*.json"))]
+    objs += [case()[0] for case in CASES.values()]
+    parsed = [parse_scenario(obj) for obj in objs]
+    reports = [report_json(execute_scenario(s).report) for s in parsed]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scenario check ran after parsing")
+
+    monkeypatch.setattr(scenario, "_require", refuse)
+    monkeypatch.setattr(scenario, "decode_vector", refuse)
+    monkeypatch.setattr(scenario.Scenario, "region", refuse)
+    assert [report_json(execute_scenario(s).report) for s in parsed] == reports
+    assert len(reports) == 9 + len(CASES)
