@@ -7,7 +7,7 @@ measures, symmetry classification, subalgebra commutation) needed to study
 how spatial separation erases exchange statistics.
 """
 
-from .algebra import BipartitionVerdict, bipartition_check, commutator_expansion, local_generator
+from .algebra import BipartitionVerdict, bipartition_check, commutator_expansion
 from .embedding import embed_mixed, embed_pure, embedding_rank
 from .entanglement import (
     SchmidtData,
@@ -24,7 +24,6 @@ from .reduction import (
     ReductionReport,
     classify_symmetry,
     cluster_expectation,
-    reduced_spin_closed_form,
     reduced_spin_probe,
     reduction_report,
     trace_out_spatial,
@@ -53,8 +52,6 @@ from .symmetry import (
     enumerate_sn,
     exchange_character,
     perm_sign,
-    perm_unitary,
-    symmetrizer,
 )
 
 __version__ = "0.1.0"
@@ -85,24 +82,20 @@ __all__ = [
     "kron",
     "lift_one_particle",
     "lift_product",
-    "local_generator",
     "mode_wavefunction",
     "n_particle_localized",
     "negativity",
     "overlap",
     "partial_transpose",
     "perm_sign",
-    "perm_unitary",
     "permute_factors",
     "ppt_classification",
     "projector",
-    "reduced_spin_closed_form",
     "reduced_spin_probe",
     "reduction_report",
     "schmidt",
     "subspace_state",
     "superposition_state",
-    "symmetrizer",
     "trace_out_spatial",
     "von_neumann_entropy",
     "wavefunction",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, frob, identity, kron, matrix_unit, projection_defect
-from .lift import lift_product
 from .symmetry import Parity, symmetrize
 
 PROJECTION_TOL = 1e-10
@@ -44,24 +43,6 @@ def hermitian_basis(dim: int) -> list[tuple[str, np.ndarray]]:
                 (f"y{k}{l}", 1j * (matrix_unit(dim, l, k) - matrix_unit(dim, k, l)))
             )
     return basis
-
-
-def local_generator(side: int, spin_op, p, q) -> np.ndarray:
-    """Generator of one local subalgebra: the lifted product with the spin
-    observable behind projector ``p`` (side 1) or behind ``q`` (side 2)."""
-    spin_op = as_matrix(spin_op)
-    p = as_matrix(p)
-    q = as_matrix(q)
-    if p.shape != q.shape or p.shape[0] != p.shape[1]:
-        raise ValueError("p and q must be square matrices of equal dimension")
-    spin_dim = spin_op.shape[0]
-    if side == 1:
-        slots = [kron(p, spin_op), kron(q, identity(spin_dim))]
-    elif side == 2:
-        slots = [kron(p, identity(spin_dim)), kron(q, spin_op)]
-    else:
-        raise ValueError("side must be 1 or 2")
-    return lift_product(slots)
 
 
 def commutator_expansion(p, q, a1, a2) -> np.ndarray:

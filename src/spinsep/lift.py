@@ -1,5 +1,10 @@
 """Lifts of one-particle and n-slot product operators to exchange-invariant
-n-particle observables."""
+n-particle observables.
+
+No runtime path calls these dense builders; they stay in the package only
+because the benchmark's per-layer tracer (``perfbench/spans.py``) looks up
+``spinsep.lift`` as a layer, and can join the test oracles once it does not.
+"""
 
 from __future__ import annotations
 

@@ -18,7 +18,9 @@ For pairwise disjoint, fully localizing regions the result is a genuine
 density matrix with trace equal to the joint localization probability; for
 overlapping regions the same formula still applies and the diagnostics
 (trace, Hermiticity defect, minimum eigenvalue) report how the construction
-degrades.
+degrades.  The Gram-weighted two-particle closed form, which reads the
+reduction off one-particle overlaps, is not part of this module: it lives
+with the test oracles (``tests/oracles.py``), where it checks the probe.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, dagger, frob, kron, nth_root_dim
-from .spatial import SpaceSpec, SpatialRegion, overlap
-from .states import SuperpositionTerm
+from .linalg import as_matrix, as_vector, dagger, frob, nth_root_dim
+from .spatial import SpaceSpec, SpatialRegion
 from .symmetry import (
     ANTISYMMETRIC,
     NO_SYMMETRY,
@@ -134,54 +135,6 @@ def reduced_spin_probe(
     defect = frob(reduced - dagger(reduced))
     min_eig = float(np.linalg.eigvalsh((reduced + dagger(reduced)) / 2.0)[0])
     return RawReduced(reduced, trace, defect, min_eig)
-
-
-def reduced_spin_closed_form(
-    terms: Sequence[SuperpositionTerm],
-    normalized: bool = True,
-) -> np.ndarray:
-    """Gram-weighted closed form of the reduced spin state of a two-particle
-    superposition over disjoint regions.
-
-    Works entirely with one-particle inner products and spin dyads, never
-    touching the two-particle tensor space, so it serves as an independent
-    oracle for ``reduced_spin_probe``.  With ``normalized=True`` (default) it
-    is the reduction of the unit-normalized superposition; with
-    ``normalized=False`` it applies the conventional 1/N bookkeeping of an
-    unnormalized N-term family instead.
-    """
-    if not terms:
-        raise ValueError("closed form needs at least one term")
-    spin_dim = terms[0].factor_1.spin_dim
-    total = spin_dim * spin_dim
-    gram_sum = np.zeros((total, total), dtype=complex)
-    norm_sq_half = 0.0 + 0.0j
-    for t in terms:  # bra side
-        for u in terms:  # ket side
-            coeff = (
-                np.conj(t.weight)
-                * u.weight
-                * overlap(t.factor_1.wavefunction, u.factor_1.wavefunction)
-                * overlap(t.factor_2.wavefunction, u.factor_2.wavefunction)
-            )
-            if coeff == 0:
-                continue
-            dyad = kron(
-                np.outer(u.factor_1.spin, np.conj(t.factor_1.spin)),
-                np.outer(u.factor_2.spin, np.conj(t.factor_2.spin)),
-            )
-            gram_sum += coeff * dyad
-            norm_sq_half += (
-                coeff
-                * complex(np.vdot(t.factor_1.spin, u.factor_1.spin))
-                * complex(np.vdot(t.factor_2.spin, u.factor_2.spin))
-            )
-    if not normalized:
-        return gram_sum / len(terms)
-    denom = norm_sq_half.real  # half the squared norm of the raw superposition
-    if denom < 1e-24:
-        raise ValueError("superposition has (numerically) zero norm")
-    return gram_sum / denom
 
 
 def trace_out_spatial(state, spec: SpaceSpec) -> np.ndarray:

@@ -427,11 +427,17 @@ def _check_entanglement(scenario: Scenario, opts: dict, where: str):
     sources = ["reduction", "spatial_trace"]
     given = opts.get("source")
     _require("source" not in opts or given in sources, f"{where}.source: expected one of {sources}")
+    # the analyses listed before this one have been checked, in order, into scenario.analyses
+    earlier = [s for s in sources if s in scenario.analyses]
+    source = given or next(iter(earlier), None)
+    needed = repr(given) if given else " or ".join(map(repr, sources))
+    _require(
+        source in earlier, f"{where}.source: the entanglement analysis needs {needed} listed before it"
+    )
 
     def run(state, results: dict) -> dict:
-        source = given or ("reduction" if "reduction" in results else "spatial_trace")
-        entry = results.get(source)
-        if entry is None or "error" in entry:
+        entry = results[source]
+        if "error" in entry:
             raise ConstructionError(f"entanglement analysis needs a successful {source!r} analysis")
         encoded = entry.get("normalized") if source == "reduction" else entry.get("matrix")
         if encoded is None:

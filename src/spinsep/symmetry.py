@@ -1,16 +1,22 @@
-"""Symmetric-group machinery: permutations, the unitaries that permute tensor
-factors, and the (anti)symmetrizing projections."""
+"""Symmetric-group machinery: permutations and their signs, and the
+(anti)symmetrizing projections applied by permuting tensor axes.
+
+The projection P_n = (1/n!) sum over sigma of phase(sigma) U_sigma is not
+summed over S_n: S_m is the union of the cosets (k m) S_{m-1}, so
+P_m = (1/m) (1 + sum_{k<m} phase((k m)) U_(k m)) P_{m-1}, and ``symmetrize``
+applies the stages m = 2..n in turn, 1 + 2 + ... + (n-1) axis-swapped adds in
+all: 15 at n = 6, where S_6 has 720 elements.
+"""
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import frob, identity, nth_root_dim
+from .linalg import frob, nth_root_dim
 
 MAX_PARTICLES = 6
 
@@ -45,55 +51,27 @@ def perm_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def perm_compose(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
-    """(first o second)(k) = first[second[k]]."""
-    return tuple(first[second[k]] for k in range(len(second)))
-
-
-def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
-def perm_unitary(perm: Sequence[int], dim: int) -> np.ndarray:
-    """The unitary permuting the n tensor factors of (C^dim)^n: the identity
-    with the factors of its row index permuted."""
-    n = len(perm)
-    rows = identity(dim**n).reshape((dim,) * n + (dim**n,))
-    return rows.transpose(perm_inverse(perm) + (n,)).reshape(dim**n, dim**n)
-
-
 def symmetrize(x, n: int, dim: int, parity: Parity) -> np.ndarray:
     """(1/n!) sum over sigma of phase(sigma) U_sigma x: the symmetric (Bose) or
     antisymmetric (Fermi) projection of a vector on (C^dim)^n, or of each
-    column of a matrix whose rows index that space.  Each U_sigma x is a
-    transposed view of the tensor axes, added straight into the running sum."""
+    column of a matrix whose rows index that space.  Stage m of the coset
+    recursion adds (Bose) or subtracts (Fermi) the views of the running tensor
+    with axis m swapped with each earlier axis, then divides by m + 1."""
     x = np.asarray(x, dtype=complex)
-    tensor = x.reshape((dim,) * n + x.shape[1:])
-    tail = tuple(range(n, tensor.ndim))
-    acc = np.zeros_like(tensor)
-    for perm in enumerate_sn(n):
-        moved = tensor.transpose(perm_inverse(perm) + tail)
-        if parity.phase(perm) > 0:
-            acc += moved
-        else:
-            acc -= moved
-    acc /= math.factorial(n)
-    return acc.reshape(x.shape)
+    combine = np.add if parity is Parity.BOSE else np.subtract
+    acc = x.reshape((dim,) * n + x.shape[1:])
+    for m in range(1, n):
+        acc, prev = acc.copy(), acc
+        for k in range(m):
+            combine(acc, prev.swapaxes(k, m), out=acc)
+        acc /= m + 1
+    return acc.reshape(x.shape) if n > 1 else x.copy()
 
 
 def compress(op, n: int, dim: int, parity: Parity) -> np.ndarray:
     """Pi op Pi for the (anti)symmetrizer Pi of (C^dim)^n: Pi applied to the rows,
     then (Pi being real and symmetric) to the columns through the transpose."""
     return symmetrize(symmetrize(op, n, dim, parity).T, n, dim, parity).T
-
-
-def symmetrizer(n: int, dim: int, parity: Parity) -> np.ndarray:
-    """Dense matrix of the symmetric (Bose) or antisymmetric (Fermi) projection
-    of (C^dim)^n: a reference construction, as ``symmetrize`` never forms it."""
-    return symmetrize(identity(dim**n), n, dim, parity)
 
 
 def exchange_character(vec, n: int, dim: int | None = None, tol: float = 1e-10) -> str:

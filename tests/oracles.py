@@ -5,12 +5,18 @@ the tests never check the library against itself.  The exceptions are
 formulations the package replaced or no longer calls, kept to check what
 replaced them or because the tests still exercise them:
 ``bipartition_by_dense_generators``, the dense sweep that the closed-form
-``bipartition_check`` replaced (it multiplies the dense lifted generators and
-the dense antisymmetrizer, which the acceptance criteria check against
-loops); ``reduced_spin_by_einsum``, the per-permutation contraction that the
-mode-block kernel of ``reduced_spin_probe`` replaced; the state constructions
-that ``symmetrize`` replaced: ``n_particle_localized_by_kron``, the n!-term
-Kronecker sum, ``superposition_by_brackets``, the sum of hand-built brackets,
+``bipartition_check`` replaced (it multiplies the dense lifted generators of
+``local_generator`` and the dense antisymmetrizer, which the acceptance
+criteria check against loops); ``reduced_spin_by_einsum``, the
+per-permutation contraction that the mode-block kernel of
+``reduced_spin_probe`` replaced; ``symmetrize_by_permutations``, the n!-term
+sum of transposed views that the coset recursion of ``symmetrize`` replaced,
+with the dense ``perm_unitary`` and ``symmetrizer`` matrices and the
+``perm_compose`` and ``perm_inverse`` helpers; ``reduced_spin_closed_form``,
+the Gram-weighted two-particle reduction from one-particle overlaps; the
+state constructions that ``symmetrize`` replaced:
+``n_particle_localized_by_kron``, the n!-term Kronecker sum,
+``superposition_by_brackets``, the sum of hand-built brackets,
 ``embed_pure_by_terms``/``embed_mixed_by_terms``, which expand the target
 in ``spin_basis_terms`` before adding the brackets up, and
 ``shared_spatial_by_modes``, the per-mode loop that the indexed add on the
@@ -25,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from spinsep.algebra import PROJECTION_TOL, BipartitionVerdict, hermitian_basis, local_generator
+from spinsep.algebra import PROJECTION_TOL, BipartitionVerdict, hermitian_basis
 from spinsep.entanglement import schmidt
 from spinsep.lift import lift_product
 from spinsep.linalg import (
@@ -40,7 +46,7 @@ from spinsep.linalg import (
     permute_factors,
     projection_defect,
 )
-from spinsep.spatial import SpaceSpec, SpatialRegion, mode_wavefunction, projector
+from spinsep.spatial import SpaceSpec, SpatialRegion, mode_wavefunction, overlap, projector
 from spinsep.states import (
     ZERO_TOL,
     BuiltState,
@@ -50,7 +56,7 @@ from spinsep.states import (
     _per_mode_spins,
     interleave_particles,
 )
-from spinsep.symmetry import Parity, enumerate_sn, symmetrize, symmetrizer
+from spinsep.symmetry import Parity, enumerate_sn, symmetrize
 
 
 def kron_by_loops(a, b):
@@ -519,3 +525,114 @@ def _repeated_mode_index(mode: int, num_modes: int, n: int) -> int:
     for _ in range(n):
         idx = idx * num_modes + mode
     return idx
+
+
+def perm_compose(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
+    """(first o second)(k) = first[second[k]]."""
+    return tuple(first[second[k]] for k in range(len(second)))
+
+
+def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(inv)
+
+
+def perm_unitary(perm: Sequence[int], dim: int) -> np.ndarray:
+    """The unitary permuting the n tensor factors of (C^dim)^n: the identity
+    with the factors of its row index permuted."""
+    n = len(perm)
+    rows = identity(dim**n).reshape((dim,) * n + (dim**n,))
+    return rows.transpose(perm_inverse(perm) + (n,)).reshape(dim**n, dim**n)
+
+
+def symmetrize_by_permutations(x, n: int, dim: int, parity: Parity) -> np.ndarray:
+    """(1/n!) sum over sigma of phase(sigma) U_sigma x: the symmetric (Bose) or
+    antisymmetric (Fermi) projection of a vector on (C^dim)^n, or of each
+    column of a matrix whose rows index that space.  Each U_sigma x is a
+    transposed view of the tensor axes, added straight into the running sum."""
+    x = np.asarray(x, dtype=complex)
+    tensor = x.reshape((dim,) * n + x.shape[1:])
+    tail = tuple(range(n, tensor.ndim))
+    acc = np.zeros_like(tensor)
+    for perm in enumerate_sn(n):
+        moved = tensor.transpose(perm_inverse(perm) + tail)
+        if parity.phase(perm) > 0:
+            acc += moved
+        else:
+            acc -= moved
+    acc /= math.factorial(n)
+    return acc.reshape(x.shape)
+
+
+def symmetrizer(n: int, dim: int, parity: Parity) -> np.ndarray:
+    """Dense matrix of the symmetric (Bose) or antisymmetric (Fermi) projection
+    of (C^dim)^n: a reference construction, as ``symmetrize`` never forms it."""
+    return symmetrize(identity(dim**n), n, dim, parity)
+
+
+def local_generator(side: int, spin_op, p, q) -> np.ndarray:
+    """Generator of one local subalgebra: the lifted product with the spin
+    observable behind projector ``p`` (side 1) or behind ``q`` (side 2)."""
+    spin_op = as_matrix(spin_op)
+    p = as_matrix(p)
+    q = as_matrix(q)
+    if p.shape != q.shape or p.shape[0] != p.shape[1]:
+        raise ValueError("p and q must be square matrices of equal dimension")
+    spin_dim = spin_op.shape[0]
+    if side == 1:
+        slots = [kron(p, spin_op), kron(q, identity(spin_dim))]
+    elif side == 2:
+        slots = [kron(p, identity(spin_dim)), kron(q, spin_op)]
+    else:
+        raise ValueError("side must be 1 or 2")
+    return lift_product(slots)
+
+
+def reduced_spin_closed_form(
+    terms: Sequence[SuperpositionTerm],
+    normalized: bool = True,
+) -> np.ndarray:
+    """Gram-weighted closed form of the reduced spin state of a two-particle
+    superposition over disjoint regions.
+
+    Works entirely with one-particle inner products and spin dyads, never
+    touching the two-particle tensor space, so it serves as an independent
+    oracle for ``reduced_spin_probe``.  With ``normalized=True`` (default) it
+    is the reduction of the unit-normalized superposition; with
+    ``normalized=False`` it applies the conventional 1/N bookkeeping of an
+    unnormalized N-term family instead.
+    """
+    if not terms:
+        raise ValueError("closed form needs at least one term")
+    spin_dim = terms[0].factor_1.spin_dim
+    total = spin_dim * spin_dim
+    gram_sum = np.zeros((total, total), dtype=complex)
+    norm_sq_half = 0.0 + 0.0j
+    for t in terms:  # bra side
+        for u in terms:  # ket side
+            coeff = (
+                np.conj(t.weight)
+                * u.weight
+                * overlap(t.factor_1.wavefunction, u.factor_1.wavefunction)
+                * overlap(t.factor_2.wavefunction, u.factor_2.wavefunction)
+            )
+            if coeff == 0:
+                continue
+            dyad = kron(
+                np.outer(u.factor_1.spin, np.conj(t.factor_1.spin)),
+                np.outer(u.factor_2.spin, np.conj(t.factor_2.spin)),
+            )
+            gram_sum += coeff * dyad
+            norm_sq_half += (
+                coeff
+                * complex(np.vdot(t.factor_1.spin, u.factor_1.spin))
+                * complex(np.vdot(t.factor_2.spin, u.factor_2.spin))
+            )
+    if not normalized:
+        return gram_sum / len(terms)
+    denom = norm_sq_half.real  # half the squared norm of the raw superposition
+    if denom < 1e-24:
+        raise ValueError("superposition has (numerically) zero norm")
+    return gram_sum / denom

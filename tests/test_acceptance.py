@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spinsep.algebra import bipartition_check, commutator_expansion, local_generator
+from spinsep.algebra import bipartition_check, commutator_expansion
 from spinsep.embedding import embed_mixed
 from spinsep.entanglement import negativity
 from spinsep.lift import lift_one_particle
@@ -20,7 +20,6 @@ from spinsep.linalg import frob, kron
 from spinsep.reduction import (
     classify_symmetry,
     cluster_expectation,
-    reduced_spin_closed_form,
     reduced_spin_probe,
     reduction_report,
     trace_out_spatial,
@@ -41,13 +40,18 @@ from spinsep.symmetry import (
     SYMMETRIC,
     Parity,
     enumerate_sn,
+)
+
+from oracles import (
+    local_generator,
     perm_compose,
     perm_inverse,
     perm_unitary,
+    rand_matrix,
+    rand_unit,
+    reduced_spin_closed_form,
     symmetrizer,
 )
-
-from oracles import rand_matrix, rand_unit
 
 CLAIMS_DIR = Path(__file__).resolve().parents[1] / "src" / "spinsep" / "scenarios" / "claims"
 PARITIES = (Parity.FERMI, Parity.BOSE)

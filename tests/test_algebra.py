@@ -5,13 +5,12 @@ from spinsep.algebra import (
     bipartition_check,
     commutator_expansion,
     hermitian_basis,
-    local_generator,
 )
 from spinsep.lift import lift_product
 from spinsep.linalg import frob, kron
 from spinsep.spatial import SpatialRegion, projector
 
-from oracles import rand_matrix, rand_projection
+from oracles import local_generator, rand_matrix, rand_projection
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 

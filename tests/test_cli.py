@@ -14,10 +14,12 @@ from spinsep.runner import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    execute_scenario,
     run_scenario_file,
     run_suite,
 )
 from spinsep.scenario import (
+    ConstructionError,
     MAX_ARRAY_ENTRIES,
     MAX_SWEEP_STEPS,
     ScenarioValidationError,
@@ -481,6 +483,61 @@ def test_entanglement_source_must_name_a_reduction(tmp_path, source):
     assert lines == [
         "validation error: analyses[2].source: expected one of ['reduction', 'spatial_trace']"
     ]
+
+
+@pytest.mark.parametrize(
+    "analyses, k, needed",
+    [
+        ([{"analysis": "entanglement", "source": "reduction"}, "reduction"], 0, "'reduction'"),
+        (["spatial_trace", {"analysis": "entanglement", "source": "reduction"}], 1, "'reduction'"),
+        (
+            [{"analysis": "entanglement", "source": "spatial_trace"}, "spatial_trace"],
+            0,
+            "'spatial_trace'",
+        ),
+        (["entanglement", "reduction", "spatial_trace"], 0, "'reduction' or 'spatial_trace'"),
+        (["algebra", "entanglement"], 1, "'reduction' or 'spatial_trace'"),
+    ],
+)
+def test_entanglement_source_must_be_listed_before_it(tmp_path, analyses, k, needed):
+    # the analyses run in the listed order, so a later source has no result yet
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(_minimal_scenario(analyses=analyses)), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [
+        f"validation error: analyses[{k}].source: "
+        f"the entanglement analysis needs {needed} listed before it"
+    ]
+    assert not (tmp_path / "minimal.report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "analyses, source",
+    [
+        (["spatial_trace", "reduction", "entanglement"], "reduction"),
+        (["spatial_trace", "entanglement", "reduction"], "spatial_trace"),
+        (["reduction", {"analysis": "entanglement", "source": "reduction"}], "reduction"),
+        (
+            ["reduction", "spatial_trace", {"analysis": "entanglement", "source": "spatial_trace"}],
+            "spatial_trace",
+        ),
+    ],
+)
+def test_entanglement_reads_the_earliest_listed_source(analyses, source, monkeypatch):
+    report = execute_scenario(parse_scenario(_minimal_scenario(analyses=analyses))).report
+    assert report["results"]["entanglement"]["source"] == source
+
+    # a source that fails at run time still leaves an error entry, not a validation error
+    def fail(*args, **kwargs):
+        raise ConstructionError("no reduction")
+
+    monkeypatch.setattr("spinsep.scenario.reduced_spin_probe", fail)
+    monkeypatch.setattr("spinsep.scenario.trace_out_spatial", fail)
+    report = execute_scenario(parse_scenario(_minimal_scenario(analyses=analyses))).report
+    assert report["results"]["entanglement"] == {
+        "error": f"entanglement analysis needs a successful {source!r} analysis"
+    }
 
 
 def test_cli_suite_has_no_format_option():

@@ -9,9 +9,9 @@ from spinsep.linalg import frob, kron
 from spinsep.reduction import reduced_spin_probe, reduction_report
 from spinsep.spatial import SpatialRegion
 from spinsep.states import ZeroStateError
-from spinsep.symmetry import Parity, symmetrizer
+from spinsep.symmetry import Parity
 
-from oracles import rand_density
+from oracles import rand_density, symmetrizer
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 R1 = SpatialRegion([0, 1, 2, 3])

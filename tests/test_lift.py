@@ -4,9 +4,16 @@ import pytest
 from spinsep.lift import lift_one_particle, lift_product
 from spinsep.linalg import frob, kron, projection_defect
 from spinsep.spatial import SpatialRegion
-from spinsep.symmetry import Parity, enumerate_sn, perm_unitary, symmetrizer
+from spinsep.symmetry import Parity, enumerate_sn
 
-from oracles import is_exchangeable, lifted_product_by_loops, rand_matrix, spatial_projector
+from oracles import (
+    is_exchangeable,
+    lifted_product_by_loops,
+    perm_unitary,
+    rand_matrix,
+    spatial_projector,
+    symmetrizer,
+)
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 

@@ -7,13 +7,13 @@ from spinsep.linalg import (
     normalize,
     permute_factors,
 )
-from spinsep.symmetry import perm_unitary
 
 from oracles import (
     hermitian_spectrum,
     kron_by_loops,
     partial_trace,
     partial_trace_by_loops,
+    perm_unitary,
     rand_hermitian,
     rand_matrix,
     rand_projection,

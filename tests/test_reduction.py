@@ -11,12 +11,11 @@ from spinsep.reduction import (
     classify_symmetry,
     cluster_expectation,
     reduced_spin_probe,
-    reduced_spin_closed_form,
     reduction_report,
     trace_out_spatial,
 )
 from spinsep.runner import execute_scenario
-from spinsep.scenario import parse_scenario
+from spinsep.scenario import decode_matrix, parse_scenario
 from spinsep.spatial import SpaceSpec, SpatialRegion, mode_wavefunction, projector, wavefunction
 from spinsep.states import (
     LocalizedFactor,
@@ -28,7 +27,7 @@ from spinsep.states import (
 )
 from spinsep.symmetry import ANTISYMMETRIC, MAX_PARTICLES, NO_SYMMETRY, SYMMETRIC, Parity
 
-from oracles import rand_matrix, rand_unit, spatial_projector
+from oracles import rand_matrix, rand_unit, reduced_spin_closed_form, spatial_projector
 
 
 def _factor(mode, num_modes, spin):
@@ -154,6 +153,35 @@ def test_three_particle_reduction_is_product(parity):
     target = kron(*[_dyad(f.spin) for f in factors])
     assert frob(raw.matrix - target) < 1e-11
     assert abs(raw.trace - 1.0) < 1e-11
+
+
+def test_six_localized_particles_reduce_to_the_spin_product_through_the_runner():
+    # claim 1 at the particle cap: six particles in six single-mode regions, spin 1/2
+    # (dim 12^6 = 2,985,984); the reduction is the product of the spin dyads for both parities
+    rng = np.random.default_rng(66)
+    spins = [rand_unit(rng, 2) for _ in range(6)]
+    target = kron(*[_dyad(spin) for spin in spins])
+    raws = {}
+    for parity, statistics in (("fermi", ANTISYMMETRIC), ("bose", SYMMETRIC)):
+        obj = {
+            "name": f"six_{parity}",
+            "space": {"modes": 6, "spin_levels": 2, "particles": 6},
+            "parity": parity,
+            "regions": [{"name": f"r{k}", "modes": [k]} for k in range(6)],
+            "state": {
+                "kind": "localized",
+                "factors": [
+                    {"mode": k, "spin": [[z.real, z.imag] for z in spin]}
+                    for k, spin in enumerate(spins)
+                ],
+            },
+            "analyses": ["reduction"],
+        }
+        report = execute_scenario(parse_scenario(obj)).report
+        assert report["construction"]["statistics"] == statistics
+        raws[parity] = decode_matrix(report["results"]["reduction"]["raw_matrix"], "raw_matrix")
+        assert np.abs(raws[parity] - target).max() <= 1e-12
+    assert np.abs(raws["fermi"] - raws["bose"]).max() <= 1e-12
 
 
 def test_closed_form_single_term():

@@ -16,7 +16,7 @@ from spinsep.states import (
     subspace_state,
     superposition_state,
 )
-from spinsep.symmetry import ANTISYMMETRIC, Parity, exchange_character, symmetrizer
+from spinsep.symmetry import ANTISYMMETRIC, Parity, exchange_character
 
 from oracles import (
     determinant_by_enumeration,
@@ -29,6 +29,7 @@ from oracles import (
     rand_unit,
     shared_spatial_by_modes,
     superposition_by_brackets,
+    symmetrizer,
 )
 
 EQUIVALENCE_TOL = 1e-14  # relative; one rounding order against another

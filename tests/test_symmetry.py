@@ -12,15 +12,22 @@ from spinsep.symmetry import (
     SYMMETRIC,
     Parity,
     enumerate_sn,
+    compress,
     exchange_character,
-    perm_compose,
-    perm_inverse,
     perm_sign,
-    perm_unitary,
-    symmetrizer,
+    symmetrize,
 )
 
-from oracles import is_exchangeable, rand_matrix
+from oracles import (
+    is_exchangeable,
+    perm_compose,
+    perm_inverse,
+    perm_unitary,
+    rand_matrix,
+    rand_unit,
+    symmetrize_by_permutations,
+    symmetrizer,
+)
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -124,3 +131,43 @@ def test_exchange_character():
     assert exchange_character(e00, 2, 2) == SYMMETRIC
     e01 = np.array([0, 1, 0, 0], dtype=complex)
     assert exchange_character(e01, 2, 2) == NO_SYMMETRY
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_symmetrize_matches_the_permutation_sum(n, d, parity):
+    # the coset recursion against the sum over all n! transposed views
+    rng = np.random.default_rng(100 * n + 10 * d + (parity is Parity.FERMI))
+    for x in (rand_unit(rng, d**n), rand_matrix(rng, d**n, 3)):
+        kept = x.copy()
+        got = symmetrize(x, n, d, parity)
+        want = symmetrize_by_permutations(x, n, d, parity)
+        assert got.shape == x.shape
+        if n <= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert frob(got - want) <= 1e-14 * frob(x)
+        # the caller's array is neither changed nor shared
+        assert np.array_equal(x, kept) and not np.shares_memory(got, x)
+
+
+def test_symmetrization_never_sums_over_the_symmetric_group(monkeypatch):
+    from spinsep import symmetry
+
+    rng = np.random.default_rng(6)
+    vec, op = rand_unit(rng, 2**6), rand_matrix(rng, 2**6)
+    want = {parity: symmetrize_by_permutations(vec, 6, 2, parity) for parity in Parity}
+    anti = symmetrize_by_permutations(rand_unit(rng, 6**6), 6, 6, Parity.FERMI)
+
+    def refuse(n):
+        raise AssertionError("symmetrization enumerated S_n")
+
+    monkeypatch.setattr(symmetry, "enumerate_sn", refuse)
+    for parity in Parity:
+        assert frob(symmetrize(vec, 6, 2, parity) - want[parity]) <= 1e-14
+        pi_op = compress(op, 6, 2, parity)
+        assert frob(compress(pi_op, 6, 2, parity) - pi_op) <= 1e-12
+    assert exchange_character(want[Parity.BOSE] / frob(want[Parity.BOSE]), 6, 2) == SYMMETRIC
+    assert exchange_character(anti / frob(anti), 6, 6) == ANTISYMMETRIC
+    assert exchange_character(vec, 6, 2) == NO_SYMMETRY
