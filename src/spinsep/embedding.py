@@ -1,22 +1,25 @@
-"""Inverse construction: realize any target two-spin state as the spatially
-separated reduction of a globally symmetric or antisymmetric two-particle
-state.
+"""Inverse construction: realize any target n-spin state as the spatially
+separated reduction of a globally symmetric or antisymmetric n-particle
+state, with one disjoint region per particle.
 
 The k-th weighted eigenvector of the target, reshaped to a spin coefficient
-matrix C_k, is written into a zero (mode, spin, mode, spin) tensor at the
-k-th sorted mode of each region; that one product tensor is
-(anti)symmetrized once by ``states.symmetrized_pair``.  A pure target is the
-single-column case.  The reduction of the resulting global state reproduces
-the target exactly, for either exchange statistics.
+tensor C_k, is written into a zero (mode, spin)^n tensor at the k-th sorted
+mode of each region; ``states.symmetrized_sum`` (anti)symmetrizes that one
+product tensor.  A pure target is the single-column case.  Only the identity
+permutation keeps particle j in region j, so the reduction reproduces the
+target exactly, for either statistics, and the raw norm is sqrt(n!).
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import as_matrix, as_vector, check_density_matrix, nth_root_dim
 from .spatial import SpatialRegion
-from .states import BuiltState, symmetrized_pair
+from .states import BuiltState, symmetrized_sum
 from .symmetry import Parity
 
 RANK_CUTOFF = 1e-12
@@ -38,56 +41,42 @@ def embedding_rank(sigma) -> int:
 
 
 def _embed(
-    columns: np.ndarray,
-    region1: SpatialRegion,
-    region2: SpatialRegion,
-    parity: Parity,
-    num_modes: int,
+    columns: np.ndarray, regions: Sequence[SpatialRegion], parity: Parity, num_modes: int
 ) -> BuiltState:
-    """(Anti)symmetrize the sum over k of (e_{m1_k} x e_{m2_k}) x C_k, where
-    column k of ``columns`` flattens the spin coefficient matrix C_k and m1_k,
-    m2_k are the k-th sorted modes of the two regions."""
-    if not region1.disjoint_from(region2):
+    """(Anti)symmetrize the sum over k of (e_{m_0k} x ... x e_{m_(n-1)k}) x C_k,
+    where column k of ``columns`` flattens the spin coefficient tensor C_k and
+    m_jk is the k-th sorted mode of region j."""
+    if not all(a.disjoint_from(b) for a, b in itertools.combinations(regions, 2)):
         raise ValueError("embedding regions must be disjoint")
-    region1.require_within(num_modes)
-    region2.require_within(num_modes)
-    spin_dim = nth_root_dim(columns.shape[0], 2)
+    n = len(regions)
+    spin_dim = nth_root_dim(columns.shape[0], n)
     rank = columns.shape[1]
-    for name, region in (("region1", region1), ("region2", region2)):
+    for j, region in enumerate(regions):
+        region.require_within(num_modes)
         if len(region.modes) < rank:
-            raise ValueError(
-                f"{name} has {len(region.modes)} modes but the target has rank {rank}"
-            )
-    product = np.zeros((num_modes, spin_dim, num_modes, spin_dim), dtype=complex)
-    modes1 = region1.sorted_modes()[:rank]
-    modes2 = region2.sorted_modes()[:rank]
-    product[modes1, :, modes2, :] = columns.T.reshape(rank, spin_dim, spin_dim)
-    return symmetrized_pair(product, parity)
+            raise ValueError(f"region {j} holds {len(region.modes)} of the {rank} modes needed")
+    product = np.zeros((num_modes, spin_dim) * n, dtype=complex)
+    # mode axes take the regions' k-th modes, spin axes are kept whole
+    at = [(region.sorted_modes()[:rank], slice(None)) for region in regions]
+    product[sum(at, ())] = columns.T.reshape((rank,) + (spin_dim,) * n)
+    return symmetrized_sum(product, n, num_modes * spin_dim, parity)
 
 
 def embed_pure(
-    phi,
-    region1: SpatialRegion,
-    region2: SpatialRegion,
-    parity: Parity,
-    num_modes: int,
+    phi, regions: Sequence[SpatialRegion], parity: Parity, num_modes: int
 ) -> BuiltState:
-    """Globally (anti)symmetric two-particle state whose reduction over the
-    two regions is the pure target ``phi`` on spin x spin."""
-    return _embed(as_vector(phi)[:, None], region1, region2, parity, num_modes)
+    """Globally (anti)symmetric n-particle state whose reduction over the n
+    regions, one per particle, is the pure target ``phi`` on spin^n."""
+    return _embed(as_vector(phi)[:, None], regions, parity, num_modes)
 
 
 def embed_mixed(
-    sigma,
-    region1: SpatialRegion,
-    region2: SpatialRegion,
-    parity: Parity,
-    num_modes: int,
+    sigma, regions: Sequence[SpatialRegion], parity: Parity, num_modes: int
 ) -> BuiltState:
-    """Globally (anti)symmetric two-particle state whose reduction over the
-    two regions is the target density matrix ``sigma`` on spin x spin.
+    """Globally (anti)symmetric n-particle state whose reduction over the n
+    regions, one per particle, is the target density matrix ``sigma``.
 
     Each region must contain at least rank(sigma) modes; the spectral
     decomposition fixes the construction deterministically.
     """
-    return _embed(_weighted_eigenvectors(sigma), region1, region2, parity, num_modes)
+    return _embed(_weighted_eigenvectors(sigma), regions, parity, num_modes)

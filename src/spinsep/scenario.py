@@ -28,6 +28,7 @@ globals after parsing see every call.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -255,24 +256,27 @@ def _factor_from_spec(obj, scenario: Scenario, where: str) -> LocalizedFactor:
 
 
 def _embedding(scenario: Scenario, spec: dict, rank: int = 1, where: str = "state.regions"):
-    """The arguments after the target of ``embed_pure`` and ``embed_mixed``; each region holds
-    one mode per eigenvector of a rank-``rank`` target, or ``where`` reports the shortfall."""
+    """The arguments after an embedding's target: one region per particle, the first named
+    ones by default, each holding ``rank`` modes, or ``where`` reports the shortfall."""
     parity = _given(scenario, "parity")
-    kind = spec["kind"]
-    _require(scenario.space.particles == 2, f"state.kind {kind}: needs exactly two particles")
-    names = spec.get("regions", list(scenario.regions)[:2])
+    n = scenario.space.particles
+    names = spec.get("regions", list(scenario.regions)[:n])
     _require(
-        isinstance(names, list) and len(names) == 2, "state.regions: expected two region names"
+        isinstance(names, list) and len(names) == n,
+        "state.regions: expected one region name per particle",
     )
-    r1, r2 = scenario.region(names[0]), scenario.region(names[1])
-    _require(r1.disjoint_from(r2), "state.regions: embedding regions must be disjoint")
-    for name, region in zip(names, (r1, r2)):
+    regions = [scenario.region(name) for name in names]
+    _require(
+        all(a.disjoint_from(b) for a, b in itertools.combinations(regions, 2)),
+        "state.regions: embedding regions must be disjoint",
+    )
+    for name, region in zip(names, regions):
         _require(
             len(region.modes) >= rank,
             f"{where}: region {name!r} has {len(region.modes)} modes "
             f"but the target has rank {rank}",
         )
-    return r1, r2, parity, scenario.space.num_modes
+    return regions, parity, scenario.space.num_modes
 
 
 def _check_localized(scenario: Scenario, spec: dict):
@@ -332,23 +336,29 @@ def _check_spatial_sector(scenario: Scenario, spec: dict):
 
 
 def _check_embed_pure(scenario: Scenario, spec: dict):
-    target = _sized_vector(spec.get("target"), "state.target", scenario.space.spin_dim**2)
+    space = scenario.space
+    target = _sized_vector(spec.get("target"), "state.target", space.spin_dim**space.particles)
     placement = _embedding(scenario, spec)
     phi, _ = _checked(lambda: normalize(target), "state.target")
     return lambda: embed_pure(phi, *placement)
 
 
 def _check_embed_mixed(scenario: Scenario, spec: dict):
+    space = scenario.space
+    _within_budget(_spin_matrix_entries(space), "the embedding target")
     target = decode_matrix(spec.get("target"), "state.target")
-    _require(target.shape == (scenario.space.spin_dim**2,) * 2, "state.target: wrong dimension")
+    dim = space.spin_dim**space.particles
+    _require(target.shape == (dim, dim), "state.target: wrong dimension")
     rank = _checked(lambda: embedding_rank(target), "state.target")
     placement = _embedding(scenario, spec, rank)
     return lambda: embed_mixed(target, *placement)
 
 
 def _check_embed_random(scenario: Scenario, spec: dict):
+    space = scenario.space
+    _within_budget(_spin_matrix_entries(space), "the embedding target")
     rng = np.random.default_rng(_given(scenario, "seed", "for randomized scenarios"))
-    dim = scenario.space.spin_dim**2
+    dim = space.spin_dim**space.particles
     rank = spec.get("rank", dim)
     _require(is_integer(rank) and 1 <= rank <= dim, "state.rank: out of range")
     placement = _embedding(scenario, spec, rank, "state.rank")

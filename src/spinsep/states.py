@@ -1,7 +1,8 @@
 """Constructors for (anti)symmetrized states of particles carrying interleaved
 spatial and spin degrees of freedom: each forms one product tensor (for a
 superposition, the weighted sum of its products) and (anti)symmetrizes it
-with one ``symmetry.symmetrize`` call, which permutes tensor factors.
+with one ``symmetry.symmetrize`` call, which permutes tensor factors; the
+superposition and the embeddings share the tail ``symmetrized_sum``.
 
 Every constructor renormalizes its result and reports the pre-normalization
 norm, so callers can audit the bookkeeping of unnormalized superpositions.
@@ -97,14 +98,14 @@ def superposition_state(terms: Sequence[SuperpositionTerm], parity: Parity) -> B
         _check_pair_dims(t.factor_1, t.factor_2)
         _check_pair_dims(terms[0].factor_1, t.factor_1)
     product = sum(t.weight * np.outer(t.factor_1.vector(), t.factor_2.vector()) for t in terms)
-    return symmetrized_pair(product, parity)
+    return symmetrized_sum(product, 2, product.shape[0], parity)
 
 
-def symmetrized_pair(product: np.ndarray, parity: Parity) -> BuiltState:
-    """The normalized bracket x + phase * swap(x) of a two-particle tensor x
-    on (C^d) x (C^d), whose leading axes index the first particle."""
-    d = math.isqrt(product.size)
-    return _finalize(2.0 * symmetrize(product.reshape(-1), 2, d, parity))
+def symmetrized_sum(product: np.ndarray, n: int, dim: int, parity: Parity) -> BuiltState:
+    """The normalized sum over sigma of phase(sigma) U_sigma x of an n-particle
+    tensor x on (C^dim)^n, whose leading axes index the first particle: n!
+    times its (anti)symmetric projection, with no 1/sqrt(n!)."""
+    return _finalize(symmetrize(product.reshape(-1), n, dim, parity) * math.factorial(n))
 
 
 def n_particle_localized(
@@ -120,8 +121,8 @@ def n_particle_localized(
         _check_pair_dims(factors[0], f)
     vecs = [f.vector() for f in factors]
     raw = symmetrize(kron(*vecs), n, vecs[0].size, parity) * math.factorial(n)
-    # n! / sqrt(n!) in two steps: a single * sqrt(n!) rounds differently and
-    # moves the reports of the bundled scenarios in their last digits
+    # symmetrized_sum without its raw norm sqrt(n!): n! / sqrt(n!) in two steps, as a single
+    # * sqrt(n!) rounds differently and moves the reports of the bundled scenarios
     return _finalize(raw / math.sqrt(math.factorial(n)))
 
 

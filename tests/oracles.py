@@ -18,7 +18,9 @@ state constructions that ``symmetrize`` replaced:
 ``n_particle_localized_by_kron``, the n!-term Kronecker sum,
 ``superposition_by_brackets``, the sum of hand-built brackets,
 ``embed_pure_by_terms``/``embed_mixed_by_terms``, which expand the target
-in ``spin_basis_terms`` before adding the brackets up, and
+in ``spin_basis_terms`` before adding the brackets up, ``embed_two_regions``
+and ``symmetrized_pair``, the two-region embedding core and its bracket that
+the n-region ``embedding._embed`` and ``states.symmetrized_sum`` replaced, and
 ``shared_spatial_by_modes``, the per-mode loop that the indexed add on the
 mode diagonal in ``subspace_state`` replaced; and ``partial_trace``,
 ``hermitian_spectrum``, ``is_separable_pure``, ``is_exchangeable`` and
@@ -53,6 +55,7 @@ from spinsep.states import (
     LocalizedFactor,
     SuperpositionTerm,
     ZeroStateError,
+    _finalize,
     _per_mode_spins,
     interleave_particles,
 )
@@ -467,8 +470,10 @@ def spin_basis_terms(coeffs: np.ndarray, f_factorizer, g_factorizer, weight_scal
     return terms
 
 
-def embed_pure_by_terms(phi, region1, region2, parity: Parity, num_modes: int) -> BuiltState:
-    """``embed_pure`` as a superposition of one bracket per spin basis pair."""
+def embed_pure_by_terms(phi, regions, parity: Parity, num_modes: int) -> BuiltState:
+    """``embed_pure`` over two regions as a superposition of one bracket per spin
+    basis pair."""
+    region1, region2 = regions
     spin_dim = nth_root_dim(phi.size, 2)
     coeffs = phi.reshape(spin_dim, spin_dim)
     f = mode_wavefunction(region1.sorted_modes()[0], num_modes)
@@ -478,10 +483,11 @@ def embed_pure_by_terms(phi, region1, region2, parity: Parity, num_modes: int) -
 
 
 def embed_mixed_by_terms(
-    sigma, region1, region2, parity: Parity, num_modes: int, cutoff: float = 1e-12
+    sigma, regions, parity: Parity, num_modes: int, cutoff: float = 1e-12
 ) -> BuiltState:
-    """``embed_mixed`` as a superposition of one bracket per spin basis pair
-    and eigenvector, each eigenvector in its own pair of modes."""
+    """``embed_mixed`` over two regions as a superposition of one bracket per
+    spin basis pair and eigenvector, each eigenvector in its own pair of modes."""
+    region1, region2 = regions
     spin_dim = nth_root_dim(sigma.shape[0], 2)
     eigvals, eigvecs = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
     order = [k for k in range(eigvals.size - 1, -1, -1) if eigvals[k] > cutoff]
@@ -497,6 +503,41 @@ def embed_mixed_by_terms(
         g = mode_wavefunction(modes2[slot], num_modes)
         terms.extend(spin_basis_terms(coeffs, f, g, weight))
     return superposition_by_brackets(terms, parity)
+
+
+def symmetrized_pair(product: np.ndarray, parity: Parity) -> BuiltState:
+    """The normalized bracket x + phase * swap(x) of a two-particle tensor x
+    on (C^d) x (C^d), whose leading axes index the first particle."""
+    d = math.isqrt(product.size)
+    return _finalize(2.0 * symmetrize(product.reshape(-1), 2, d, parity))
+
+
+def embed_two_regions(
+    columns: np.ndarray,
+    region1: SpatialRegion,
+    region2: SpatialRegion,
+    parity: Parity,
+    num_modes: int,
+) -> BuiltState:
+    """(Anti)symmetrize the sum over k of (e_{m1_k} x e_{m2_k}) x C_k, where
+    column k of ``columns`` flattens the spin coefficient matrix C_k and m1_k,
+    m2_k are the k-th sorted modes of the two regions."""
+    if not region1.disjoint_from(region2):
+        raise ValueError("embedding regions must be disjoint")
+    region1.require_within(num_modes)
+    region2.require_within(num_modes)
+    spin_dim = nth_root_dim(columns.shape[0], 2)
+    rank = columns.shape[1]
+    for name, region in (("region1", region1), ("region2", region2)):
+        if len(region.modes) < rank:
+            raise ValueError(
+                f"{name} has {len(region.modes)} modes but the target has rank {rank}"
+            )
+    product = np.zeros((num_modes, spin_dim, num_modes, spin_dim), dtype=complex)
+    modes1 = region1.sorted_modes()[:rank]
+    modes2 = region2.sorted_modes()[:rank]
+    product[modes1, :, modes2, :] = columns.T.reshape(rank, spin_dim, spin_dim)
+    return symmetrized_pair(product, parity)
 
 
 def shared_spatial_by_modes(spatial_part, spin_part, spec: SpaceSpec) -> BuiltState:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from spinsep.algebra import bipartition_check, commutator_expansion
-from spinsep.embedding import embed_mixed
+from spinsep.embedding import embed_mixed, embed_pure
 from spinsep.entanglement import negativity
 from spinsep.lift import lift_one_particle
 from spinsep.linalg import frob, kron
@@ -50,6 +50,7 @@ from oracles import (
     rand_matrix,
     rand_unit,
     reduced_spin_closed_form,
+    symmetrize_by_permutations,
     symmetrizer,
 )
 
@@ -372,11 +373,10 @@ def _random_projection(rng, dim, rank):
     return basis @ basis.conj().T
 
 
-@criterion(10, "every two-spin state is reachable by spatially separated reduction", 60.0)
+@criterion(10, "every n-spin state is reachable by spatially separated reduction", 60.0)
 def test_criterion_10_embedding_surjectivity():
     rng = np.random.default_rng(1010)
-    r1, r2 = SpatialRegion([0, 1, 2, 3]), SpatialRegion([4, 5, 6, 7])
-    regions = [r1, r2]
+    regions = [SpatialRegion([0, 1, 2, 3]), SpatialRegion([4, 5, 6, 7])]
     projs = {parity: symmetrizer(2, 16, parity) for parity in PARITIES}
     worst_round_trip = 0.0
     worst_negativity = 0.0
@@ -396,20 +396,43 @@ def test_criterion_10_embedding_surjectivity():
         if target_neg > 1e-6:
             npt_count += 1
         for parity in PARITIES:
-            vec, _ = embed_mixed(sigma, r1, r2, parity, 8)
+            vec, _ = embed_mixed(sigma, regions, parity, 8)
             worst_sector = max(worst_sector, frob(projs[parity] @ vec - vec))
             rep = reduction_report(reduced_spin_probe(_dyad(vec), regions, 2, 8), 2, 2)
             worst_round_trip = max(worst_round_trip, frob(rep.normalized - sigma))
             if target_neg > 1e-6:
                 got_neg = negativity(rep.normalized, 2, 2)
                 worst_negativity = max(worst_negativity, abs(got_neg - target_neg))
+    # n spins, one region of three modes per particle: pure targets and ranks 1-3
+    worst_raw_norm = 0.0
+    for n, spin_dim, ranks in ((3, 2, (1, 2, 3)), (4, 2, (1, 2, 3)), (3, 3, (2,))):
+        side, num_modes = spin_dim**n, 3 * n
+        modes = rng.permutation(num_modes)
+        regions = [SpatialRegion(modes[j::n]) for j in range(n)]
+        phi = rand_unit(rng, side)
+        targets = [(embed_pure, phi, _dyad(phi))]
+        for rank in ranks:
+            g = rand_matrix(rng, side, rank)
+            sigma = g @ g.conj().T
+            sigma = sigma / np.trace(sigma).real
+            targets.append((embed_mixed, sigma, sigma))
+        for embed, target, want in targets:
+            for parity in PARITIES:
+                vec, raw_norm = embed(target, regions, parity, num_modes)
+                sector = symmetrize_by_permutations(vec, n, num_modes * spin_dim, parity)
+                worst_sector = max(worst_sector, frob(sector - vec))
+                worst_raw_norm = max(worst_raw_norm, abs(raw_norm - math.sqrt(math.factorial(n))))
+                raw = reduced_spin_probe(vec, regions, spin_dim, num_modes)
+                rep = reduction_report(raw, n, spin_dim)
+                worst_round_trip = max(worst_round_trip, frob(rep.normalized - want))
     assert worst_round_trip <= 1e-9
     assert worst_negativity <= 1e-9
     assert worst_sector <= 1e-12
+    assert worst_raw_norm <= 1e-12
     assert npt_count >= 50
     return (
         f"round trip {worst_round_trip:.2e}, negativity gap {worst_negativity:.2e}, "
-        f"{npt_count} NPT targets"
+        f"{npt_count} NPT targets, n = 2, 3, 4"
     )
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsep import runner
+from spinsep import runner, scenario
 from spinsep.cli import main
 from spinsep.runner import (
     EXIT_CONSTRUCTION,
@@ -349,15 +349,19 @@ def test_malformed_state_specs_fail_validation(tmp_path, file, path, value, fiel
 
 
 @pytest.mark.parametrize(
-    "state",
+    "state, message",
     [
-        {"kind": "embed_pure", "target": [0, 1, -1, 0]},
-        {"kind": "embed_mixed", "target": RANK_TWO},
-        {"kind": "embed_random", "rank": 2},
+        ({"kind": "embed_pure", "target": [0, 1, -1, 0]}, "state.target: wrong dimension"),
+        ({"kind": "embed_mixed", "target": RANK_TWO}, "state.target: wrong dimension"),
+        (
+            {"kind": "embed_random", "rank": 2},
+            "state.regions: expected one region name per particle",
+        ),
     ],
+    ids=["embed_pure", "embed_mixed", "embed_random"],
 )
-def test_embeddings_need_two_particles(tmp_path, state):
-    # a two-spin target has no three-particle embedding: a fault of the spec, not of construction
+def test_three_particle_embeddings_reject_two_particle_specs(tmp_path, state, message):
+    # a two-spin target, or two regions, cannot place three particles: a fault of the spec
     obj = _minimal_scenario(
         space={"modes": 4, "spin_levels": 2, "particles": 3},
         regions=[{"name": "left", "modes": [0, 1]}, {"name": "right", "modes": [2, 3]}],
@@ -369,7 +373,71 @@ def test_embeddings_need_two_particles(tmp_path, state):
     path.write_text(json.dumps(obj), encoding="utf-8")
     lines = []
     assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
-    assert lines == [f"validation error: state.kind {state['kind']}: needs exactly two particles"]
+    assert lines == [f"validation error: {message}"]
+
+
+GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2)
+W = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3)
+
+
+@pytest.mark.parametrize(
+    "kind, parity, target, statistics",
+    [
+        ("embed_pure", "fermi", GHZ, "antisymmetric"),
+        ("embed_mixed", "bose", np.outer(W, W), "symmetric"),
+    ],
+    ids=["ghz", "w"],
+)
+def test_three_particles_reach_ghz_and_w(tmp_path, kind, parity, target, statistics):
+    # one single-mode region per particle: the reduction over them is the three-spin target
+    want = target if target.ndim == 2 else np.outer(target, target)
+    obj = _minimal_scenario(
+        name="three",
+        space={"modes": 3, "spin_levels": 2, "particles": 3},
+        parity=parity,
+        regions=[{"name": f"r{k}", "modes": [k]} for k in range(3)],
+        state={"kind": kind, "target": target.tolist()},
+        expectations={"reduced_matrix": encode_matrix(want), "statistics": statistics},
+    )
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lambda *a: None) == EXIT_OK
+    report = json.loads((tmp_path / "three.report.json").read_text(encoding="utf-8"))
+    assert report["construction"]["statistics"] == statistics
+    got = decode_matrix(report["results"]["reduction"]["normalized"], "normalized")
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "state",
+    [{"kind": "embed_random", "rank": 1}, {"kind": "embed_mixed", "target": [[1]]}],
+    ids=["embed_random", "embed_mixed"],
+)
+def test_embedding_targets_above_the_size_budget_fail_before_decoding(
+    tmp_path, monkeypatch, state
+):
+    # the state (216,000 entries) and the sweep (160,000) fit, but sigma has 20^6 entries
+    def refuse(*args, **kwargs):
+        raise AssertionError("the target was decoded or drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(scenario, "embedding_rank", refuse)
+    monkeypatch.setattr(scenario, "decode_matrix", refuse)
+    obj = _minimal_scenario(
+        space={"modes": 3, "spin_levels": 20, "particles": 3},
+        regions=[{"name": f"r{k}", "modes": [k]} for k in range(3)],
+        state=state,
+        analyses=["overlap_sweep"],
+        seed=7,
+    )
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [
+        "validation error: space: the embedding target has 64000000 entries, "
+        f"above the limit of {MAX_ARRAY_ENTRIES}"
+    ]
 
 
 def test_a_repeated_analysis_fails_validation(tmp_path):

@@ -136,7 +136,7 @@ def _embed_pure():
     space, regions = (4, 2, 2), [[0, 1], [2, 3]]
     target = np.array([0.6, 0, 0, 0.8j])
     state = {"kind": "embed_pure", "target": [[t.real, t.imag] for t in target]}
-    vec, _ = embed_pure(target, SpatialRegion([0, 1]), SpatialRegion([2, 3]), Parity.FERMI, 4)
+    vec, _ = embed_pure(target, [SpatialRegion([0, 1]), SpatialRegion([2, 3])], Parity.FERMI, 4)
     obj = _scenario("kind_embed_pure", space, regions, state, "reduction", parity="fermi")
     return obj, "antisymmetric", _reduction(vec, regions, 2, 4)
 
@@ -150,7 +150,7 @@ def _embed_mixed():
         "target": [[[x.real, x.imag] for x in row] for row in target],
         "regions": ["r1", "r0"],
     }
-    vec, _ = embed_mixed(target, SpatialRegion([2, 3]), SpatialRegion([0, 1]), Parity.BOSE, 4)
+    vec, _ = embed_mixed(target, [SpatialRegion([2, 3]), SpatialRegion([0, 1])], Parity.BOSE, 4)
     obj = _scenario("kind_embed_mixed", space, regions, state, "reduction", parity="bose")
     return obj, "symmetric", _reduction(vec, regions, 2, 4)
 
@@ -163,7 +163,7 @@ def _embed_random():
     sigma = g @ g.conj().T
     sigma = sigma / np.trace(sigma).real
     state = {"kind": "embed_random", "rank": rank}
-    vec, _ = embed_mixed(sigma, SpatialRegion([0, 1]), SpatialRegion([2, 3]), Parity.FERMI, 4)
+    vec, _ = embed_mixed(sigma, [SpatialRegion([0, 1]), SpatialRegion([2, 3])], Parity.FERMI, 4)
     obj = _scenario(
         "kind_embed_random", space, regions, state, "reduction", parity="fermi", seed=seed
     )

@@ -29,6 +29,7 @@ from oracles import (
     rand_unit,
     shared_spatial_by_modes,
     superposition_by_brackets,
+    symmetrized_pair,
     symmetrizer,
 )
 
@@ -99,6 +100,27 @@ def test_superposition_cancellation_is_loud():
     terms = [SuperpositionTerm(a, b, weight=1.0), SuperpositionTerm(a, b, weight=-1.0)]
     with pytest.raises(ZeroStateError):
         superposition_state(terms, Parity.BOSE)
+
+
+def test_superposition_tail_is_unchanged():
+    # the shared n-particle tail at n = 2 against the two-particle bracket it replaced
+    rng = np.random.default_rng(78)
+    for parity in Parity:
+        for count in range(1, 4):
+            terms = [
+                SuperpositionTerm(
+                    LocalizedFactor(wavefunction(rand_unit(rng, 3)), rand_unit(rng, 2)),
+                    LocalizedFactor(wavefunction(rand_unit(rng, 3)), rand_unit(rng, 2)),
+                    complex(*rng.standard_normal(2)),
+                )
+                for _ in range(count)
+            ]
+            product = sum(
+                t.weight * np.outer(t.factor_1.vector(), t.factor_2.vector()) for t in terms
+            )
+            got, want = superposition_state(terms, parity), symmetrized_pair(product, parity)
+            assert np.array_equal(got.vector, want.vector)
+            assert got.raw_norm == want.raw_norm
 
 
 def test_n_particle_matches_two_particle():
@@ -185,7 +207,7 @@ def test_symmetrize_constructions_match_the_kron_and_bracket_sums():
                 (2 * side + 2, range(2 * side + 1, -1, -2), range(2 * side, -1, -2)),
             ]
             for num_modes, modes1, modes2 in layouts:
-                args = (SpatialRegion(modes1), SpatialRegion(modes2), parity, num_modes)
+                args = ([SpatialRegion(modes1), SpatialRegion(modes2)], parity, num_modes)
                 phi = rand_unit(rng, side)
                 check(embed_pure(phi, *args), embed_pure_by_terms(phi, *args), f"pure {spin_dim}")
                 for rank in range(1, side + 1):
