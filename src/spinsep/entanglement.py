@@ -41,14 +41,16 @@ def schmidt(psi, d_left: int, d_right: int) -> SchmidtData:
 
 
 def von_neumann_entropy(rho, validate: bool = True) -> float:
-    """Entropy in bits, with 0 log 0 = 0."""
+    """Entropy in bits, with 0 log 0 = 0.  Eigenvalues at or below size * eps * the
+    largest are rounding, not population: they are dropped and the rest renormalized,
+    so a pure state reads exactly 0."""
     rho = as_matrix(rho)
     if validate:
         check_density_matrix(rho)
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    eigs = np.clip(eigs.real, 0.0, None)
-    positive = eigs[eigs > 0.0]
-    return float(-(positive * np.log2(positive)).sum() + 0.0)
+    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)  # ascending
+    kept = eigs[eigs > eigs.size * np.finfo(float).eps * eigs[-1]]
+    kept = kept / kept.sum()
+    return float(-(kept * np.log2(kept)).sum() + 0.0)
 
 
 def partial_transpose(rho, d_left: int, d_right: int, side: str = "right") -> np.ndarray:

@@ -294,15 +294,17 @@ def _check_superposition(scenario: Scenario, spec: dict):
     parity = _given(scenario, "parity")
     terms_obj = spec.get("terms")
     _require(isinstance(terms_obj, list) and terms_obj, "state.terms: expected a nonempty array")
-    _require(scenario.space.particles == 2, "state.kind superposition: needs exactly two particles")
+    n = scenario.space.particles
+    keys = [f"factor_{j}" for j in range(1, n + 1)]
     terms = []
     for k, t in enumerate(terms_obj):
         where = f"state.terms[{k}]"
         _require(isinstance(t, dict), f"{where}: expected an object")
+        for key in (key for key in t if key.startswith("factor_")):
+            _require(key in keys, f"{where}.{key}: the space has {n} particles")
         terms.append(
             SuperpositionTerm(
-                _factor_from_spec(t.get("factor_1"), scenario, f"{where}.factor_1"),
-                _factor_from_spec(t.get("factor_2"), scenario, f"{where}.factor_2"),
+                [_factor_from_spec(t.get(key), scenario, f"{where}.{key}") for key in keys],
                 weight=decode_complex(t.get("weight", 1.0), f"{where}.weight"),
             )
         )

@@ -1,7 +1,7 @@
-"""Constructors for (anti)symmetrized states of particles carrying interleaved
-spatial and spin degrees of freedom: each forms one product tensor (for a
-superposition, the weighted sum of its products) and (anti)symmetrizes it
-with one ``symmetry.symmetrize`` call, which permutes tensor factors; the
+"""Constructors for (anti)symmetrized states of n particles carrying interleaved
+spatial and spin degrees of freedom: each forms one product tensor of one
+localized factor per particle (for a superposition, the weighted sum of such
+products) and (anti)symmetrizes it with one ``symmetry.symmetrize`` call; the
 superposition and the embeddings share the tail ``symmetrized_sum``.
 
 Every constructor renormalizes its result and reports the pre-normalization
@@ -13,6 +13,7 @@ antisymmetrizing two identical factors).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -54,13 +55,13 @@ class LocalizedFactor:
 
 @dataclass(frozen=True, eq=False)
 class SuperpositionTerm:
-    """One bracket of a two-particle superposition, with an optional weight."""
+    """One product of a superposition: a factor per particle, with an optional weight."""
 
-    factor_1: LocalizedFactor
-    factor_2: LocalizedFactor
+    factors: tuple[LocalizedFactor, ...]
     weight: complex = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
         w = complex(self.weight)
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise ValueError("term weight must be finite")
@@ -72,11 +73,15 @@ class BuiltState(NamedTuple):
     raw_norm: float
 
 
-def _check_pair_dims(a: LocalizedFactor, b: LocalizedFactor) -> None:
-    if a.wavefunction.num_modes != b.wavefunction.num_modes:
-        raise ValueError("factors live in spatial spaces of different dimension")
-    if a.spin_dim != b.spin_dim:
-        raise ValueError("factors carry spins of different dimension")
+def _product(factors: Sequence[LocalizedFactor], first: LocalizedFactor) -> np.ndarray:
+    """The Kronecker product of the factors' vectors, each factor checked against ``first``;
+    np.outer (which flattens its inputs) forms np.kron's products without its overhead."""
+    for f in factors:
+        if f.wavefunction.num_modes != first.wavefunction.num_modes:
+            raise ValueError("factors live in spatial spaces of different dimension")
+        if f.spin_dim != first.spin_dim:
+            raise ValueError("factors carry spins of different dimension")
+    return functools.reduce(np.outer, [f.vector() for f in factors]).reshape(-1)
 
 
 def _finalize(raw: np.ndarray) -> BuiltState:
@@ -87,18 +92,19 @@ def _finalize(raw: np.ndarray) -> BuiltState:
 
 
 def superposition_state(terms: Sequence[SuperpositionTerm], parity: Parity) -> BuiltState:
-    """Weighted sum of (anti)symmetrized two-particle brackets, normalized.
+    """Weighted sum of (anti)symmetrized n-particle products, normalized.
 
     With unit weights and orthonormal wavefunction families the
-    pre-normalization norm is sqrt(2 N) for N terms.
+    pre-normalization norm is sqrt(n! N) for N terms.
     """
     if not terms:
         raise ValueError("superposition needs at least one term")
-    for t in terms:
-        _check_pair_dims(t.factor_1, t.factor_2)
-        _check_pair_dims(terms[0].factor_1, t.factor_1)
-    product = sum(t.weight * np.outer(t.factor_1.vector(), t.factor_2.vector()) for t in terms)
-    return symmetrized_sum(product, 2, product.shape[0], parity)
+    n = len(terms[0].factors)
+    if not 1 <= n <= MAX_PARTICLES or any(len(t.factors) != n for t in terms):
+        raise ValueError(f"every term needs the same number of factors, 1 to {MAX_PARTICLES}")
+    first = terms[0].factors[0]
+    product = sum(t.weight * _product(t.factors, first) for t in terms)
+    return symmetrized_sum(product, n, first.wavefunction.num_modes * first.spin_dim, parity)
 
 
 def symmetrized_sum(product: np.ndarray, n: int, dim: int, parity: Parity) -> BuiltState:
@@ -117,10 +123,8 @@ def n_particle_localized(
     n = len(factors)
     if not 1 <= n <= MAX_PARTICLES:
         raise ValueError(f"particle count must be between 1 and {MAX_PARTICLES}")
-    for f in factors:
-        _check_pair_dims(factors[0], f)
-    vecs = [f.vector() for f in factors]
-    raw = symmetrize(kron(*vecs), n, vecs[0].size, parity) * math.factorial(n)
+    dim = factors[0].wavefunction.num_modes * factors[0].spin_dim
+    raw = symmetrize(_product(factors, factors[0]), n, dim, parity) * math.factorial(n)
     # symmetrized_sum without its raw norm sqrt(n!): n! / sqrt(n!) in two steps, as a single
     # * sqrt(n!) rounds differently and moves the reports of the bundled scenarios
     return _finalize(raw / math.sqrt(math.factorial(n)))

@@ -16,13 +16,16 @@ with the dense ``perm_unitary`` and ``symmetrizer`` matrices and the
 the Gram-weighted two-particle reduction from one-particle overlaps; the
 state constructions that ``symmetrize`` replaced:
 ``n_particle_localized_by_kron``, the n!-term Kronecker sum,
-``superposition_by_brackets``, the sum of hand-built brackets,
+``superposition_by_brackets``, the same sum over every term of a superposition,
+``n_particle_localized_by_pair_checks``, the body of ``n_particle_localized``
+before it shared the product helper of the superposition,
 ``embed_pure_by_terms``/``embed_mixed_by_terms``, which expand the target
 in ``spin_basis_terms`` before adding the brackets up, ``embed_two_regions``
 and ``symmetrized_pair``, the two-region embedding core and its bracket that
 the n-region ``embedding._embed`` and ``states.symmetrized_sum`` replaced, and
 ``shared_spatial_by_modes``, the per-mode loop that the indexed add on the
-mode diagonal in ``subspace_state`` replaced; and ``partial_trace``,
+mode diagonal in ``subspace_state`` replaced; ``entropy_of_every_eigenvalue``,
+the entropy formula that counted rounding as population; and ``partial_trace``,
 ``hermitian_spectrum``, ``is_separable_pure``, ``is_exchangeable`` and
 ``spatial_projector``, which no module of the package calls.
 """
@@ -59,7 +62,7 @@ from spinsep.states import (
     _per_mode_spins,
     interleave_particles,
 )
-from spinsep.symmetry import Parity, enumerate_sn, symmetrize
+from spinsep.symmetry import MAX_PARTICLES, Parity, enumerate_sn, symmetrize
 
 
 def kron_by_loops(a, b):
@@ -368,6 +371,16 @@ def partial_trace(mat, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
+def entropy_of_every_eigenvalue(rho) -> float:
+    """Von Neumann entropy in bits over every positive eigenvalue, rounding included:
+    the formula that ``von_neumann_entropy`` replaced with one that drops eigenvalues
+    at the rounding level of the largest."""
+    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    eigs = np.clip(eigs.real, 0.0, None)
+    positive = eigs[eigs > 0.0]
+    return float(-(positive * np.log2(positive)).sum() + 0.0)
+
+
 def hermitian_spectrum(mat, tol: float = 1e-10) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending.
 
@@ -439,14 +452,39 @@ def n_particle_localized_by_kron(factors, parity: Parity) -> BuiltState:
     return _normalized(raw)
 
 
+def n_particle_localized_by_pair_checks(factors, parity: Parity) -> BuiltState:
+    """``n_particle_localized`` before it shared the product helper of the
+    superposition: each factor checked against the first as a pair, then the
+    Kronecker product of the vectors."""
+    n = len(factors)
+    if not 1 <= n <= MAX_PARTICLES:
+        raise ValueError(f"particle count must be between 1 and {MAX_PARTICLES}")
+    for f in factors:
+        _check_pair_dims(factors[0], f)
+    vecs = [f.vector() for f in factors]
+    raw = symmetrize(kron(*vecs), n, vecs[0].size, parity) * math.factorial(n)
+    # symmetrized_sum without its raw norm sqrt(n!): n! / sqrt(n!) in two steps, as a single
+    # * sqrt(n!) rounds differently and moves the reports of the bundled scenarios
+    return _finalize(raw / math.sqrt(math.factorial(n)))
+
+
+def _check_pair_dims(a: LocalizedFactor, b: LocalizedFactor) -> None:
+    if a.wavefunction.num_modes != b.wavefunction.num_modes:
+        raise ValueError("factors live in spatial spaces of different dimension")
+    if a.spin_dim != b.spin_dim:
+        raise ValueError("factors carry spins of different dimension")
+
+
 def superposition_by_brackets(terms, parity: Parity) -> BuiltState:
-    """Weighted sum of the brackets v1 x v2 +- v2 x v1, one per term."""
-    sign = 1.0 if parity is Parity.BOSE else -1.0
+    """The explicit n!-term sum over the terms t and the orderings sigma of
+    w_t * phase(sigma) * (v_t,sigma(1) x ... x v_t,sigma(n)), normalized."""
+    n = len(terms[0].factors)
     raw = None
     for t in terms:
-        va, vb = t.factor_1.vector(), t.factor_2.vector()
-        bracket = kron(va, vb) + sign * kron(vb, va)
-        raw = t.weight * bracket if raw is None else raw + t.weight * bracket
+        vecs = [f.vector() for f in t.factors]
+        for perm in enumerate_sn(n):
+            term = t.weight * parity.phase(perm) * kron(*[vecs[perm[k]] for k in range(n)])
+            raw = term if raw is None else raw + term
     return _normalized(raw)
 
 
@@ -462,8 +500,7 @@ def spin_basis_terms(coeffs: np.ndarray, f_factorizer, g_factorizer, weight_scal
                 continue
             terms.append(
                 SuperpositionTerm(
-                    LocalizedFactor(f_factorizer, eye[i]),
-                    LocalizedFactor(g_factorizer, eye[j]),
+                    [LocalizedFactor(f_factorizer, eye[i]), LocalizedFactor(g_factorizer, eye[j])],
                     weight=w,
                 )
             )
@@ -647,7 +684,7 @@ def reduced_spin_closed_form(
     """
     if not terms:
         raise ValueError("closed form needs at least one term")
-    spin_dim = terms[0].factor_1.spin_dim
+    spin_dim = terms[0].factors[0].spin_dim
     total = spin_dim * spin_dim
     gram_sum = np.zeros((total, total), dtype=complex)
     norm_sq_half = 0.0 + 0.0j
@@ -656,20 +693,20 @@ def reduced_spin_closed_form(
             coeff = (
                 np.conj(t.weight)
                 * u.weight
-                * overlap(t.factor_1.wavefunction, u.factor_1.wavefunction)
-                * overlap(t.factor_2.wavefunction, u.factor_2.wavefunction)
+                * overlap(t.factors[0].wavefunction, u.factors[0].wavefunction)
+                * overlap(t.factors[1].wavefunction, u.factors[1].wavefunction)
             )
             if coeff == 0:
                 continue
             dyad = kron(
-                np.outer(u.factor_1.spin, np.conj(t.factor_1.spin)),
-                np.outer(u.factor_2.spin, np.conj(t.factor_2.spin)),
+                np.outer(u.factors[0].spin, np.conj(t.factors[0].spin)),
+                np.outer(u.factors[1].spin, np.conj(t.factors[1].spin)),
             )
             gram_sum += coeff * dyad
             norm_sq_half += (
                 coeff
-                * complex(np.vdot(t.factor_1.spin, u.factor_1.spin))
-                * complex(np.vdot(t.factor_2.spin, u.factor_2.spin))
+                * complex(np.vdot(t.factors[0].spin, u.factors[0].spin))
+                * complex(np.vdot(t.factors[1].spin, u.factors[1].spin))
             )
     if not normalized:
         return gram_sum / len(terms)

@@ -201,8 +201,10 @@ def test_criterion_05_gram_closed_form():
                 )
                 terms.append(
                     SuperpositionTerm(
-                        LocalizedFactor(wavefunction(f, r1), rand_unit(rng, d_h)),
-                        LocalizedFactor(wavefunction(g, r2), rand_unit(rng, d_h)),
+                        [
+                            LocalizedFactor(wavefunction(f, r1), rand_unit(rng, d_h)),
+                            LocalizedFactor(wavefunction(g, r2), rand_unit(rng, d_h)),
+                        ],
                         weight=weight,
                     )
                 )

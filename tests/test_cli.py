@@ -408,6 +408,75 @@ def test_three_particles_reach_ghz_and_w(tmp_path, kind, parity, target, statist
     assert np.abs(got - want).max() <= 1e-12
 
 
+UP, DOWN = [1, 0], [0, 1]
+EXTRA = {"mode": 2, "spin": UP}
+
+
+@pytest.mark.parametrize("parity, statistics", [("fermi", "antisymmetric"), ("bose", "symmetric")])
+@pytest.mark.parametrize(
+    "spins, target, want_negativity",
+    [
+        ([[UP, UP, UP], [DOWN, DOWN, DOWN]], GHZ, 0.5),
+        ([[UP, UP, DOWN], [UP, DOWN, UP], [DOWN, UP, UP]], W, math.sqrt(2) / 3),
+    ],
+    ids=["ghz", "w"],
+)
+def test_three_particle_superpositions_reach_ghz_and_w(
+    tmp_path, parity, statistics, spins, target, want_negativity
+):
+    # claim 2 at n = 3 by a second route: one product of localized factors per basis
+    # term of the target, one single-mode region per particle
+    terms = [{f"factor_{k + 1}": {"mode": k, "spin": s} for k, s in enumerate(t)} for t in spins]
+    obj = _minimal_scenario(
+        name="three",
+        space={"modes": 3, "spin_levels": 2, "particles": 3},
+        parity=parity,
+        regions=[{"name": f"r{k}", "modes": [k]} for k in range(3)],
+        state={"kind": "superposition", "terms": terms},
+        analyses=["reduction", "entanglement"],
+    )
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lambda *a: None) == EXIT_OK
+    report = json.loads((tmp_path / "three.report.json").read_text(encoding="utf-8"))
+    assert report["construction"]["statistics"] == statistics
+    assert abs(report["construction"]["raw_norm"] - math.sqrt(len(terms) * 6)) <= 1e-12
+    got = decode_matrix(report["results"]["reduction"]["normalized"], "normalized")
+    assert np.abs(got - np.outer(target, target)).max() <= 1e-12
+    assert abs(report["results"]["entanglement"]["negativity"] - want_negativity) <= 1e-12
+    if len(terms) == 2:
+        embedded = execute_scenario(
+            parse_scenario(dict(obj, state={"kind": "embed_pure", "target": target.tolist()}))
+        ).report
+        reached = decode_matrix(embedded["results"]["reduction"]["normalized"], "normalized")
+        assert np.abs(got - reached).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "particles, edit, message",
+    [
+        (2, {"factor_3": EXTRA}, "state.terms[1].factor_3: the space has 2 particles"),
+        (2, {"factor_0": EXTRA}, "state.terms[1].factor_0: the space has 2 particles"),
+        (2, {"factor_2": None}, "state.terms[1].factor_2: expected an object"),
+        (3, {}, "state.terms[0].factor_3: expected an object"),
+    ],
+    ids=["extra_factor", "factor_0", "missing_factor", "too_few_factors"],
+)
+def test_superposition_term_keys_follow_the_particle_count(tmp_path, particles, edit, message):
+    # every term holds exactly factor_1 ... factor_n, and a factor_* key beyond them is refused
+    terms = [{"factor_1": {"mode": 0, "spin": UP}, "factor_2": {"mode": 1, "spin": DOWN}}] * 2
+    terms[1] = {k: v for k, v in {**terms[1], **edit}.items() if v is not None}
+    obj = _minimal_scenario(
+        space={"modes": 3, "spin_levels": 2, "particles": particles},
+        state={"kind": "superposition", "terms": terms},
+    )
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [f"validation error: {message}"]
+
+
 @pytest.mark.parametrize(
     "state",
     [{"kind": "embed_random", "rank": 1}, {"kind": "embed_mixed", "target": [[1]]}],

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,8 +15,15 @@ from spinsep.entanglement import (
     von_neumann_entropy,
 )
 from spinsep.linalg import kron
+from spinsep.runner import EXIT_OK, run_scenario_file
 
-from oracles import is_separable_pure, partial_transpose_by_loops, rand_density, rand_unit
+from oracles import (
+    entropy_of_every_eigenvalue,
+    is_separable_pure,
+    partial_transpose_by_loops,
+    rand_density,
+    rand_unit,
+)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
@@ -65,6 +73,41 @@ def test_entropy_bounds_random():
         rho = rand_density(rng, 6)
         s = von_neumann_entropy(rho)
         assert -1e-10 <= s <= math.log2(6) + 1e-10
+
+
+def test_entropy_drops_only_rounding():
+    # eigenvalues at the rounding level of the largest are dropped: the entropy of a
+    # mixed state moves by far less than 1e-12, and a rotated pure state reads exactly 0
+    rng = np.random.default_rng(79)
+    for d in (2, 4, 8, 16, 32, 64):
+        for rank in (1, max(d // 2, 1), d):
+            rho = rand_density(rng, d, rank)
+            got, want = von_neumann_entropy(rho), entropy_of_every_eigenvalue(rho)
+            assert abs(got - want) <= 1e-12, (d, rank)
+        assert von_neumann_entropy(_dyad(rand_unit(rng, d))) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_localized_products_report_zero_entropy(tmp_path, n):
+    # random unit spins in single-mode regions reduce to a pure product of spin dyads
+    rng = np.random.default_rng(80 + n)
+    spins = [[[x.real, x.imag] for x in rand_unit(rng, 2)] for _ in range(n)]
+    obj = {
+        "name": "products",
+        "space": {"modes": n, "spin_levels": 2, "particles": n},
+        "parity": "fermi",
+        "regions": [{"name": f"r{k}", "modes": [k]} for k in range(n)],
+        "state": {
+            "kind": "localized",
+            "factors": [{"mode": k, "spin": spin} for k, spin in enumerate(spins)],
+        },
+        "analyses": ["reduction", "entanglement"],
+    }
+    path = tmp_path / "products.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lambda *a: None) == EXIT_OK
+    report = json.loads((tmp_path / "products.report.json").read_text(encoding="utf-8"))
+    assert report["results"]["entanglement"]["entropy_bits"] == 0.0
 
 
 def test_entropy_matches_schmidt_marginals():

@@ -187,7 +187,7 @@ def test_six_localized_particles_reduce_to_the_spin_product_through_the_runner()
 def test_closed_form_single_term():
     a = _factor(0, 2, [1, 0])
     b = _factor(1, 2, [0, 1])
-    got = reduced_spin_closed_form([SuperpositionTerm(a, b)])
+    got = reduced_spin_closed_form([SuperpositionTerm([a, b])])
     want = kron(_dyad(a.spin), _dyad(b.spin))
     assert frob(got - want) < 1e-12
 
@@ -197,8 +197,8 @@ def test_closed_form_two_term_hand_gram():
     xi1, eta1 = np.array([1, 0], complex), np.array([1, 0], complex)
     xi2, eta2 = np.array([0, 1], complex), np.array([0, 1], complex)
     terms = [
-        SuperpositionTerm(_factor(0, 4, xi1), _factor(2, 4, eta1)),
-        SuperpositionTerm(_factor(0, 4, xi2), _factor(3, 4, eta2)),
+        SuperpositionTerm([_factor(0, 4, xi1), _factor(2, 4, eta1)]),
+        SuperpositionTerm([_factor(0, 4, xi2), _factor(3, 4, eta2)]),
     ]
     got = reduced_spin_closed_form(terms)
     want = 0.5 * (kron(_dyad(xi1), _dyad(eta1)) + kron(_dyad(xi2), _dyad(eta2)))
@@ -208,8 +208,8 @@ def test_closed_form_two_term_hand_gram():
 def test_closed_form_unnormalized_bookkeeping():
     # orthonormal families: the 1/N convention and the normalized reduction agree
     terms = [
-        SuperpositionTerm(_factor(0, 4, [1, 0]), _factor(2, 4, [1, 0])),
-        SuperpositionTerm(_factor(1, 4, [0, 1]), _factor(3, 4, [0, 1])),
+        SuperpositionTerm([_factor(0, 4, [1, 0]), _factor(2, 4, [1, 0])]),
+        SuperpositionTerm([_factor(1, 4, [0, 1]), _factor(3, 4, [0, 1])]),
     ]
     a = reduced_spin_closed_form(terms, normalized=True)
     b = reduced_spin_closed_form(terms, normalized=False)
@@ -228,8 +228,10 @@ def test_closed_form_matches_probe_on_random_superpositions(parity):
             w = complex(rng.standard_normal(), rng.standard_normal())
             terms.append(
                 SuperpositionTerm(
-                    _region_factor(rng, [0, 1], d_l, d_h),
-                    _region_factor(rng, [2, 3, 4], d_l, d_h),
+                    [
+                        _region_factor(rng, [0, 1], d_l, d_h),
+                        _region_factor(rng, [2, 3, 4], d_l, d_h),
+                    ],
                     weight=w,
                 )
             )
@@ -244,8 +246,8 @@ def test_closed_form_entangled_mixture_is_npt():
 
     # orthonormal f's and g's, spin pairs chosen so the mixture is entangled
     bell_plus = [
-        SuperpositionTerm(_factor(0, 4, [1, 0]), _factor(2, 4, [1, 0]), weight=1.0),
-        SuperpositionTerm(_factor(0, 4, [0, 1]), _factor(2, 4, [0, 1]), weight=1.0),
+        SuperpositionTerm([_factor(0, 4, [1, 0]), _factor(2, 4, [1, 0])], weight=1.0),
+        SuperpositionTerm([_factor(0, 4, [0, 1]), _factor(2, 4, [0, 1])], weight=1.0),
     ]
     rho = reduced_spin_closed_form(bell_plus)
     assert negativity(rho, 2, 2) > 0.49

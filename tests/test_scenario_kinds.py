@@ -91,12 +91,16 @@ def _superposition():
     vec, _ = superposition_state(
         [
             SuperpositionTerm(
-                LocalizedFactor(mode_wavefunction(0, 4), UP),
-                LocalizedFactor(mode_wavefunction(2, 4), DOWN),
+                [
+                    LocalizedFactor(mode_wavefunction(0, 4), UP),
+                    LocalizedFactor(mode_wavefunction(2, 4), DOWN),
+                ]
             ),
             SuperpositionTerm(
-                LocalizedFactor(mode_wavefunction(1, 4), DOWN),
-                LocalizedFactor(wavefunction(amps, SpatialRegion([2, 3])), UP),
+                [
+                    LocalizedFactor(mode_wavefunction(1, 4), DOWN),
+                    LocalizedFactor(wavefunction(amps, SpatialRegion([2, 3])), UP),
+                ],
                 weight=0.5j,
             ),
         ],

@@ -24,6 +24,7 @@ from oracles import (
     embed_pure_by_terms,
     kron_vec_by_loops,
     n_particle_localized_by_kron,
+    n_particle_localized_by_pair_checks,
     permanent_by_enumeration,
     rand_density,
     rand_unit,
@@ -79,7 +80,7 @@ def test_two_particle_localized_bose_doubling():
 def test_superposition_single_term_matches_pair_constructor():
     a = _factor(0, 3, [1, 0])
     b = _factor(1, 3, [0, 1])
-    single, _ = superposition_state([SuperpositionTerm(a, b)], Parity.FERMI)
+    single, _ = superposition_state([SuperpositionTerm([a, b])], Parity.FERMI)
     pair, _ = n_particle_localized([a, b], Parity.FERMI)
     assert np.allclose(single, pair, atol=1e-12)
 
@@ -87,8 +88,8 @@ def test_superposition_single_term_matches_pair_constructor():
 def test_superposition_raw_norm_orthonormal_families():
     # two terms, orthonormal f's and g's: raw norm sqrt(2N) = 2
     terms = [
-        SuperpositionTerm(_factor(0, 4, [1, 0]), _factor(2, 4, [1, 0])),
-        SuperpositionTerm(_factor(1, 4, [0, 1]), _factor(3, 4, [0, 1])),
+        SuperpositionTerm([_factor(0, 4, [1, 0]), _factor(2, 4, [1, 0])]),
+        SuperpositionTerm([_factor(1, 4, [0, 1]), _factor(3, 4, [0, 1])]),
     ]
     _, raw_norm = superposition_state(terms, Parity.FERMI)
     assert abs(raw_norm - 2.0) < 1e-12
@@ -97,30 +98,63 @@ def test_superposition_raw_norm_orthonormal_families():
 def test_superposition_cancellation_is_loud():
     a = _factor(0, 2, [1, 0])
     b = _factor(1, 2, [0, 1])
-    terms = [SuperpositionTerm(a, b, weight=1.0), SuperpositionTerm(a, b, weight=-1.0)]
+    terms = [SuperpositionTerm([a, b], weight=1.0), SuperpositionTerm([a, b], weight=-1.0)]
     with pytest.raises(ZeroStateError):
         superposition_state(terms, Parity.BOSE)
 
 
 def test_superposition_tail_is_unchanged():
-    # the shared n-particle tail at n = 2 against the two-particle bracket it replaced
+    # the n-particle superposition at n = 2 against the outer product of the two-factor
+    # term it replaced and the two-particle bracket of that product
     rng = np.random.default_rng(78)
-    for parity in Parity:
-        for count in range(1, 4):
-            terms = [
-                SuperpositionTerm(
-                    LocalizedFactor(wavefunction(rand_unit(rng, 3)), rand_unit(rng, 2)),
-                    LocalizedFactor(wavefunction(rand_unit(rng, 3)), rand_unit(rng, 2)),
-                    complex(*rng.standard_normal(2)),
+    for num_modes, spin_dim in ((3, 2), (4, 3)):
+        for parity in Parity:
+            for count in range(1, 5):
+                terms = [
+                    SuperpositionTerm(
+                        [
+                            LocalizedFactor(
+                                wavefunction(rand_unit(rng, num_modes)), rand_unit(rng, spin_dim)
+                            )
+                            for _ in range(2)
+                        ],
+                        complex(*rng.standard_normal(2)),
+                    )
+                    for _ in range(count)
+                ]
+                product = sum(
+                    t.weight * np.outer(t.factors[0].vector(), t.factors[1].vector())
+                    for t in terms
                 )
-                for _ in range(count)
+                got, want = superposition_state(terms, parity), symmetrized_pair(product, parity)
+                assert np.array_equal(got.vector, want.vector)
+                assert got.raw_norm == want.raw_norm
+
+
+def test_n_particle_localized_is_unchanged():
+    rng = np.random.default_rng(79)
+    for parity in Parity:
+        for n in range(1, 7):
+            factors = [
+                LocalizedFactor(wavefunction(rand_unit(rng, 3)), rand_unit(rng, 2))
+                for _ in range(n)
             ]
-            product = sum(
-                t.weight * np.outer(t.factor_1.vector(), t.factor_2.vector()) for t in terms
-            )
-            got, want = superposition_state(terms, parity), symmetrized_pair(product, parity)
-            assert np.array_equal(got.vector, want.vector)
+            got = n_particle_localized(factors, parity)
+            want = n_particle_localized_by_pair_checks(factors, parity)
+            assert np.array_equal(got.vector, want.vector), (n, parity)
             assert got.raw_norm == want.raw_norm
+
+
+def test_superposition_term_validation():
+    a, b, c = (_factor(k, 3, [1, 0]) for k in range(3))
+    for terms in (
+        [SuperpositionTerm([])],
+        [SuperpositionTerm([a, b]), SuperpositionTerm([a, b, c])],
+        [SuperpositionTerm([a, _factor(0, 4, [1, 0])])],
+        [SuperpositionTerm([a, _factor(1, 3, [1, 0, 0])])],
+    ):
+        with pytest.raises(ValueError):
+            superposition_state(terms, Parity.BOSE)
 
 
 def test_n_particle_matches_two_particle():
@@ -188,15 +222,18 @@ def test_symmetrize_constructions_match_the_kron_and_bracket_sums():
                 n_particle_localized_by_kron(factors, parity),
                 f"{n} localized, {parity}",
             )
-        for count in range(1, 5):
+        for n in range(1, 6):
+            count = int(rng.integers(1, 5))
             terms = [
-                SuperpositionTerm(factor(3, 2), factor(3, 2), complex(*rng.standard_normal(2)))
+                SuperpositionTerm(
+                    [factor(3, 2) for _ in range(n)], complex(*rng.standard_normal(2))
+                )
                 for _ in range(count)
             ]
             check(
                 superposition_state(terms, parity),
                 superposition_by_brackets(terms, parity),
-                f"{count} terms, {parity}",
+                f"{n} particles, {count} terms, {parity}",
             )
         for spin_dim in (2, 3):
             side = spin_dim**2
