@@ -47,12 +47,7 @@ from .states import (
     subspace_state,
     superposition_state,
 )
-from .symmetry import (
-    Parity,
-    enumerate_sn,
-    exchange_character,
-    perm_sign,
-)
+from .symmetry import Parity, enumerate_sn, exchange_character
 
 __version__ = "0.1.0"
 
@@ -87,7 +82,6 @@ __all__ = [
     "negativity",
     "overlap",
     "partial_transpose",
-    "perm_sign",
     "permute_factors",
     "ppt_classification",
     "projector",

@@ -82,7 +82,11 @@ def ppt_classification(rho, d_left: int, d_right: int, tol: float = 1e-10) -> st
     vanishing negativity certifies separability only for 2x2 and 2x3
     bipartitions and is reported as inconclusive otherwise.
     """
-    neg = negativity(rho, d_left, d_right)
+    return _separability(negativity(rho, d_left, d_right), d_left, d_right, tol)
+
+
+def _separability(neg: float, d_left: int, d_right: int, tol: float = 1e-10) -> str:
+    """The verdict ``ppt_classification`` reads off a negativity already computed."""
     if neg > tol:
         return ENTANGLED
     if tuple(sorted((d_left, d_right))) in PPT_DECISIVE_DIMS:

@@ -44,8 +44,8 @@ from .entanglement import (
     ENTANGLED,
     PPT_INCONCLUSIVE,
     SEPARABLE,
+    _separability,
     negativity,
-    ppt_classification,
     schmidt,
     von_neumann_entropy,
 )
@@ -95,6 +95,7 @@ class ConstructionError(Exception):
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _MAX_SEED = 2**64 - 1
 MAX_ARRAY_ENTRIES = 2**24  # 268 MB of complex entries: the dense rho of a dim-4096 state
+MAX_PROBE_WORK = 2**26  # multiply-adds of the probe's sigma loop, ~1 s where they are all writes
 MAX_SWEEP_STEPS = 1000  # each step builds and reduces one two-particle state
 SWEEP_CSV_HEADER = "overlap,trace,min_eig,negativity,entropy"
 
@@ -204,6 +205,13 @@ def _within_budget(entries: int, what: str) -> None:
         entries <= MAX_ARRAY_ENTRIES,
         f"space: {what} has {entries} entries, above the limit of {MAX_ARRAY_ENTRIES}",
     )
+
+
+def _probe_work(space: SpaceSpec, regions: list[SpatialRegion]) -> int:
+    """The multiply-adds of the probe's sigma loop: for each of the n! sigma, the product
+    M^T conj(M) of the (prod_k |R_k|) x d_h^n mode block M, at least one per entry written."""
+    blocks = math.factorial(space.particles) * math.prod(len(r.modes) for r in regions)
+    return blocks * space.spin_dim ** (2 * space.particles)
 
 
 def _positive_int(obj, key: str, where: str) -> int:
@@ -400,6 +408,12 @@ def _check_reduction(scenario: Scenario, opts: dict, where: str):
         "analysis.regions: expected one region per particle",
     )
     regions = [scenario.region(n) for n in names]
+    work = _probe_work(space, regions)
+    _require(
+        work <= MAX_PROBE_WORK,
+        f"space: the probe reduction takes {work} multiply-adds over these regions, "
+        f"above the limit of {MAX_PROBE_WORK}",
+    )
 
     def run(state, results: dict) -> dict:
         raw = reduced_spin_probe(state, regions, space.spin_dim, space.num_modes)
@@ -456,17 +470,15 @@ def _check_entanglement(scenario: Scenario, opts: dict, where: str):
             raise ConstructionError("no normalized reduced state available")
         # encode_matrix wrote these [re, im] pairs in this run: read them back bit for bit
         rho = np.array(encoded, dtype=float).view(complex)[..., 0]
-        trace = float(np.trace(rho).real)
-        if abs(trace - 1.0) > 1e-8:
-            rho = rho / trace
         d_left, d_right = space.spin_dim, space.spin_dim ** (space.particles - 1)
+        neg = float(negativity(rho, d_left, d_right))
         purity = float(np.trace(rho @ rho).real)
         out = {
             "source": source,
-            "negativity": float(negativity(rho, d_left, d_right)),
+            "negativity": neg,
             "entropy_bits": float(von_neumann_entropy(rho, validate=False)),
             "purity": purity,
-            "separability": ppt_classification(rho, d_left, d_right),
+            "separability": _separability(neg, d_left, d_right),
             "schmidt_coefficients": None,
         }
         if purity >= 1.0 - 1e-10:

@@ -33,11 +33,6 @@ class SpaceSpec:
     def total_dim(self) -> int:
         return self.one_particle_dim**self.particles
 
-    @property
-    def factor_dims(self) -> tuple[int, ...]:
-        """Interleaved factor dimensions (mode, spin, mode, spin, ...)."""
-        return (self.num_modes, self.spin_dim) * self.particles
-
 
 @dataclass(frozen=True)
 class SpatialRegion:

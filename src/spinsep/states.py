@@ -2,10 +2,13 @@
 spatial and spin degrees of freedom: each forms one product tensor of one
 localized factor per particle (for a superposition, the weighted sum of such
 products) and (anti)symmetrizes it with one ``symmetry.symmetrize`` call; the
-superposition and the embeddings share the tail ``symmetrized_sum``.
+superposition and the embeddings share the tail ``symmetrized_sum``.  The
+special subspaces write their projected spatial and spin parts straight into
+the same interleaved (mode, spin)^n tensor.
 
-Every constructor renormalizes its result and reports the pre-normalization
-norm, so callers can audit the bookkeeping of unnormalized superpositions.
+Every constructor renormalizes its result through ``_finalize`` and reports the
+pre-normalization norm, so callers can audit the bookkeeping of unnormalized
+superpositions.
 A pre-normalization norm below ``ZERO_TOL`` raises ``ZeroStateError`` (e.g.
 antisymmetrizing two identical factors).
 """
@@ -20,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import as_vector, kron, permute_factors
+from .linalg import as_vector, kron
 from .spatial import SpaceSpec, Wavefunction
 from .symmetry import MAX_PARTICLES, Parity, symmetrize
 
@@ -139,16 +142,6 @@ class SubspaceKind(enum.Enum):
     ANTISYMMETRIC_SPATIAL = "antisymmetric_spatial"  # antisymmetric space x symmetric spin
 
 
-def interleave_particles(grouped: np.ndarray, spec: SpaceSpec) -> np.ndarray:
-    """Reorder a vector from (modes^n) x (spins^n) grouping to the interleaved
-    (mode, spin)^n convention."""
-    n = spec.particles
-    dims = (spec.num_modes,) * n + (spec.spin_dim,) * n
-    # input factor k (a mode) goes to slot 2k, input factor n+k (a spin) to slot 2k+1
-    perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    return permute_factors(grouped, dims, perm)
-
-
 def _project_or_raise(projected: np.ndarray, what: str) -> np.ndarray:
     if float(np.linalg.norm(projected)) < ZERO_TOL:
         raise ZeroStateError(f"{what} part vanishes under the required projection")
@@ -174,23 +167,24 @@ def subspace_state(
 
     The parts are renormalized internally.
     """
-    n = spec.particles
+    n, d_l, d_h = spec.particles, spec.num_modes, spec.spin_dim
 
     if kind is SubspaceKind.SHARED_SPATIAL:
         c = as_vector(spatial_part)
-        if c.size != spec.num_modes:
+        if c.size != d_l:
             raise ValueError("mode amplitude vector has wrong length")
         # column m of chis is the antisymmetrized spin vector of mode m
-        chis = symmetrize(_per_mode_spins(spin_part, spec).T, n, spec.spin_dim, Parity.FERMI)
-        grouped = np.zeros((spec.num_modes,) * n + (chis.shape[0],), dtype=complex)
-        # mode m's spins go to the diagonal entry (m, ..., m) of the n mode factors
-        grouped[(np.arange(spec.num_modes),) * n] += c[:, None] * chis.T
+        chis = symmetrize(_per_mode_spins(spin_part, spec).T, n, d_h, Parity.FERMI)
+        raw = np.zeros((d_l, d_h) * n, dtype=complex)
+        spins = (c[:, None] * chis.T).reshape((d_l,) + (d_h,) * n)
+        # mode m's spins go to the diagonal (m, ..., m) of the mode axes, the spin axes kept whole
+        raw[(np.arange(d_l), slice(None)) * n] += spins
     else:
         phi = as_vector(spatial_part)
         chi = as_vector(spin_part)
-        if phi.size != spec.num_modes**n:
+        if phi.size != d_l**n:
             raise ValueError("spatial part has wrong dimension")
-        if chi.size != spec.spin_dim**n:
+        if chi.size != d_h**n:
             raise ValueError("spin part has wrong dimension")
         if kind is SubspaceKind.SYMMETRIC_SPATIAL:
             spatial_parity, spin_parity = Parity.BOSE, Parity.FERMI
@@ -198,15 +192,13 @@ def subspace_state(
             spatial_parity, spin_parity = Parity.FERMI, Parity.BOSE
         else:
             raise ValueError(f"unknown subspace kind {kind!r}")
-        phi = _project_or_raise(symmetrize(phi, n, spec.num_modes, spatial_parity), "spatial")
-        chi = _project_or_raise(symmetrize(chi, n, spec.spin_dim, spin_parity), "spin")
-        grouped = kron(phi, chi)
+        phi = _project_or_raise(symmetrize(phi, n, d_l, spatial_parity), "spatial")
+        chi = _project_or_raise(symmetrize(chi, n, d_h, spin_parity), "spin")
+        raw = np.multiply.outer(phi.reshape((d_l,) * n), chi.reshape((d_h,) * n))
+        # mode axis k and spin axis n + k become axes 2k and 2k + 1
+        raw = raw.transpose([a for k in range(n) for a in (k, n + k)])
 
-    raw = interleave_particles(grouped.reshape(-1), spec)
-    norm = float(np.linalg.norm(raw))
-    if norm < ZERO_TOL:
-        raise ZeroStateError("subspace state vanishes after projection")
-    return BuiltState(raw / norm, norm)
+    return _finalize(raw.reshape(-1))
 
 
 def _per_mode_spins(spin_part, spec: SpaceSpec) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Symmetric-group machinery: permutations and their signs, and the
-(anti)symmetrizing projections applied by permuting tensor axes.
+"""Symmetric-group machinery: permutations, and the (anti)symmetrizing
+projections applied by permuting tensor axes.
 
 The projection P_n = (1/n!) sum over sigma of phase(sigma) U_sigma is not
 summed over S_n: S_m is the union of the cosets (k m) S_{m-1}, so
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Sequence
 
 import numpy as np
 
@@ -31,24 +30,12 @@ class Parity(enum.Enum):
     BOSE = "bose"
     FERMI = "fermi"
 
-    def phase(self, perm: Sequence[int]) -> int:
-        """The weight of a permutation: 1 for bosons, sgn for fermions."""
-        return 1 if self is Parity.BOSE else perm_sign(perm)
-
 
 def enumerate_sn(n: int) -> list[tuple[int, ...]]:
     """All permutations of 0..n-1 in lexicographic order."""
     if not 1 <= n <= MAX_PARTICLES:
         raise ValueError(f"particle count must be between 1 and {MAX_PARTICLES}, got {n}")
     return list(itertools.permutations(range(n)))
-
-
-def perm_sign(perm: Sequence[int]) -> int:
-    """Parity of a permutation: (-1) to the number of inversions."""
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def symmetrize(x, n: int, dim: int, parity: Parity) -> np.ndarray:

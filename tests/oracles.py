@@ -22,9 +22,13 @@ before it shared the product helper of the superposition,
 ``embed_pure_by_terms``/``embed_mixed_by_terms``, which expand the target
 in ``spin_basis_terms`` before adding the brackets up, ``embed_two_regions``
 and ``symmetrized_pair``, the two-region embedding core and its bracket that
-the n-region ``embedding._embed`` and ``states.symmetrized_sum`` replaced, and
+the n-region ``embedding._embed`` and ``states.symmetrized_sum`` replaced,
 ``shared_spatial_by_modes``, the per-mode loop that the indexed add on the
-mode diagonal in ``subspace_state`` replaced; ``entropy_of_every_eigenvalue``,
+mode diagonal in ``subspace_state`` replaced, and ``subspace_state_by_grouping``,
+the body of ``subspace_state`` before it wrote the interleaved layout in place,
+which lays the parts out as modes^n x spins^n and reorders them with
+``interleave_particles``; ``perm_sign_by_count`` and ``phase``, the permutation
+weights of the n!-term sums; ``entropy_of_every_eigenvalue``,
 the entropy formula that counted rounding as population; and ``partial_trace``,
 ``hermitian_spectrum``, ``is_separable_pure``, ``is_exchangeable`` and
 ``spatial_projector``, which no module of the package calls.
@@ -56,11 +60,12 @@ from spinsep.states import (
     ZERO_TOL,
     BuiltState,
     LocalizedFactor,
+    SubspaceKind,
     SuperpositionTerm,
     ZeroStateError,
     _finalize,
     _per_mode_spins,
-    interleave_particles,
+    _project_or_raise,
 )
 from spinsep.symmetry import MAX_PARTICLES, Parity, enumerate_sn, symmetrize
 
@@ -149,6 +154,11 @@ def perm_sign_by_count(perm):
             if perm[i] > perm[j]:
                 inversions += 1
     return -1 if inversions % 2 else 1
+
+
+def phase(parity: Parity, perm) -> int:
+    """The weight of a permutation in a sum over S_n: 1 for bosons, its sign for fermions."""
+    return 1 if parity is Parity.BOSE else perm_sign_by_count(perm)
 
 
 def partial_transpose_by_loops(rho, d_left, d_right):
@@ -446,7 +456,7 @@ def n_particle_localized_by_kron(factors, parity: Parity) -> BuiltState:
     vecs = [f.vector() for f in factors]
     raw = None
     for perm in enumerate_sn(n):
-        term = parity.phase(perm) * kron(*[vecs[perm[k]] for k in range(n)])
+        term = phase(parity, perm) * kron(*[vecs[perm[k]] for k in range(n)])
         raw = term if raw is None else raw + term
     raw = raw / math.sqrt(math.factorial(n))
     return _normalized(raw)
@@ -483,7 +493,7 @@ def superposition_by_brackets(terms, parity: Parity) -> BuiltState:
     for t in terms:
         vecs = [f.vector() for f in t.factors]
         for perm in enumerate_sn(n):
-            term = t.weight * parity.phase(perm) * kron(*[vecs[perm[k]] for k in range(n)])
+            term = t.weight * phase(parity, perm) * kron(*[vecs[perm[k]] for k in range(n)])
             raw = term if raw is None else raw + term
     return _normalized(raw)
 
@@ -598,6 +608,59 @@ def shared_spatial_by_modes(spatial_part, spin_part, spec: SpaceSpec) -> BuiltSt
     return BuiltState(raw / norm, norm)
 
 
+def interleave_particles(grouped: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """Reorder a vector from (modes^n) x (spins^n) grouping to the interleaved
+    (mode, spin)^n convention."""
+    n = spec.particles
+    dims = (spec.num_modes,) * n + (spec.spin_dim,) * n
+    # input factor k (a mode) goes to slot 2k, input factor n+k (a spin) to slot 2k+1
+    perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    return permute_factors(grouped, dims, perm)
+
+
+def subspace_state_by_grouping(
+    kind: SubspaceKind,
+    spatial_part,
+    spin_part,
+    spec: SpaceSpec,
+) -> BuiltState:
+    """``subspace_state`` before it wrote the interleaved tensor in place: the parts
+    are laid out grouped, modes^n x spins^n, and then interleaved."""
+    n = spec.particles
+
+    if kind is SubspaceKind.SHARED_SPATIAL:
+        c = as_vector(spatial_part)
+        if c.size != spec.num_modes:
+            raise ValueError("mode amplitude vector has wrong length")
+        # column m of chis is the antisymmetrized spin vector of mode m
+        chis = symmetrize(_per_mode_spins(spin_part, spec).T, n, spec.spin_dim, Parity.FERMI)
+        grouped = np.zeros((spec.num_modes,) * n + (chis.shape[0],), dtype=complex)
+        # mode m's spins go to the diagonal entry (m, ..., m) of the n mode factors
+        grouped[(np.arange(spec.num_modes),) * n] += c[:, None] * chis.T
+    else:
+        phi = as_vector(spatial_part)
+        chi = as_vector(spin_part)
+        if phi.size != spec.num_modes**n:
+            raise ValueError("spatial part has wrong dimension")
+        if chi.size != spec.spin_dim**n:
+            raise ValueError("spin part has wrong dimension")
+        if kind is SubspaceKind.SYMMETRIC_SPATIAL:
+            spatial_parity, spin_parity = Parity.BOSE, Parity.FERMI
+        elif kind is SubspaceKind.ANTISYMMETRIC_SPATIAL:
+            spatial_parity, spin_parity = Parity.FERMI, Parity.BOSE
+        else:
+            raise ValueError(f"unknown subspace kind {kind!r}")
+        phi = _project_or_raise(symmetrize(phi, n, spec.num_modes, spatial_parity), "spatial")
+        chi = _project_or_raise(symmetrize(chi, n, spec.spin_dim, spin_parity), "spin")
+        grouped = kron(phi, chi)
+
+    raw = interleave_particles(grouped.reshape(-1), spec)
+    norm = float(np.linalg.norm(raw))
+    if norm < ZERO_TOL:
+        raise ZeroStateError("subspace state vanishes after projection")
+    return BuiltState(raw / norm, norm)
+
+
 def _repeated_mode_index(mode: int, num_modes: int, n: int) -> int:
     idx = 0
     for _ in range(n):
@@ -636,7 +699,7 @@ def symmetrize_by_permutations(x, n: int, dim: int, parity: Parity) -> np.ndarra
     acc = np.zeros_like(tensor)
     for perm in enumerate_sn(n):
         moved = tensor.transpose(perm_inverse(perm) + tail)
-        if parity.phase(perm) > 0:
+        if phase(parity, perm) > 0:
             acc += moved
         else:
             acc -= moved

@@ -21,6 +21,7 @@ from spinsep.runner import (
 from spinsep.scenario import (
     ConstructionError,
     MAX_ARRAY_ENTRIES,
+    MAX_PROBE_WORK,
     MAX_SWEEP_STEPS,
     ScenarioValidationError,
     decode_complex,
@@ -165,6 +166,43 @@ def test_parse_scenario_accepts_arrays_at_the_size_budget():
     assert parse_scenario(at_limit).space.total_dim == MAX_ARRAY_ENTRIES
     at_limit["space"]["modes"] = 4097
     with pytest.raises(ScenarioValidationError, match="space: the state vector"):
+        parse_scenario(at_limit)
+
+
+def _probe_scenario(spin_levels, region_modes, num_modes=None):
+    n = len(region_modes)
+    spins = np.eye(spin_levels)[:n].tolist()
+    return _minimal_scenario(
+        space={"modes": num_modes or 1, "spin_levels": spin_levels, "particles": n},
+        regions=[{"name": f"r{k}", "modes": list(m)} for k, m in enumerate(region_modes)],
+        state={"kind": "localized", "factors": [{"mode": 0, "spin": s} for s in spins]},
+    )
+
+
+def test_a_probe_above_its_work_bound_fails_before_it_runs(tmp_path, monkeypatch):
+    # four particles in one mode with 8 spin levels: every array fits the budget, but each
+    # of the 24 sigma writes an 8^4-square spin matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe ran")
+
+    monkeypatch.setattr(scenario, "reduced_spin_probe", refuse)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(_probe_scenario(8, [[0]] * 4)), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [
+        f"validation error: space: the probe reduction takes {24 * 8**8} multiply-adds over "
+        f"these regions, above the limit of {MAX_PROBE_WORK}"
+    ]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_parse_scenario_accepts_a_probe_at_its_work_bound():
+    # 2! sigma times 256 x 512 mode tuples times a 4^2-square spin product
+    at_limit = _probe_scenario(4, [range(256), range(512)], num_modes=512)
+    parse_scenario(at_limit)
+    at_limit["regions"][0]["modes"].append(256)
+    with pytest.raises(ScenarioValidationError, match="space: the probe reduction"):
         parse_scenario(at_limit)
 
 

@@ -89,7 +89,7 @@ def test_reduction_matches_matrix_unit_probe(case):
     want = reduced_spin_by_matrix_units(rho, regions, d_h, d_l)
     assert np.max(np.abs(got - want)) <= KERNEL_TOL
     spec = SpaceSpec(d_l, d_h, n)
-    want = partial_trace_by_loops(rho, spec.factor_dims, range(1, 2 * n, 2))
+    want = partial_trace_by_loops(rho, (d_l, d_h) * n, range(1, 2 * n, 2))
     assert np.max(np.abs(trace_out_spatial(rho, spec) - want)) <= KERNEL_TOL
 
     # symmetrize and compress against the dense projection Pi

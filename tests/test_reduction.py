@@ -27,7 +27,7 @@ from spinsep.states import (
 )
 from spinsep.symmetry import ANTISYMMETRIC, MAX_PARTICLES, NO_SYMMETRY, SYMMETRIC, Parity
 
-from oracles import rand_matrix, rand_unit, reduced_spin_closed_form, spatial_projector
+from oracles import phase, rand_matrix, rand_unit, reduced_spin_closed_form, spatial_projector
 
 
 def _factor(mode, num_modes, spin):
@@ -330,7 +330,7 @@ def test_cluster_expectation_matches_the_lifted_product(parity, d_l, d_h):
     for region_a, region_b in ([0, 1], [1, 2]), ([0], [0, 2]), (list(range(d_l)), [d_l - 1]):
         a, b = SpatialRegion(region_a), SpatialRegion(region_b)
         psi = rand_unit(rng, (d_l * d_h) ** 2).reshape((d_l * d_h,) * 2)
-        psi = (psi + parity.phase((1, 0)) * psi.T).reshape(-1)
+        psi = (psi + phase(parity, (1, 0)) * psi.T).reshape(-1)
         psi /= np.linalg.norm(psi)
         op = rand_matrix(rng, d_h)
         got = cluster_expectation(psi, a, op, b, d_l)

