@@ -1,6 +1,7 @@
 """Execute scenarios and suites: build the requested state, run the requested
-analyses, emit a deterministic JSON report plus a human-readable summary, and
-check reports against embedded expectations.
+analyses, check their arrays against embedded expectations, and emit a
+deterministic JSON report, which writes each array in ``[re, im]`` form once,
+plus a human-readable summary.
 
 Reports contain no timestamps, timings, or absolute paths, so repeated runs
 of the same scenario produce byte-identical JSON; wall-clock timings appear
@@ -14,6 +15,8 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .scenario import (
     ANALYSES,
@@ -65,8 +68,8 @@ def build_state(scenario: Scenario):
     }
 
 
-def execute_scenario(scenario: Scenario) -> ScenarioOutcome:
-    """Build the state, run the checked analyses in order and assemble the deterministic report."""
+def execute_scenario(scenario: Scenario, tolerance: float = 1e-10) -> ScenarioOutcome:
+    """Build the state, run the checked analyses in order, check expectations, encode the report."""
     timings: list[tuple[str, float]] = []
     results: dict = {}
     side_files: dict[str, list[str]] = {}
@@ -83,7 +86,12 @@ def execute_scenario(scenario: Scenario) -> ScenarioOutcome:
         except ConstructionError as exc:
             results[kind] = {"error": str(exc)}
         timings.append((kind, time.perf_counter() - start))
+    failures = compare_expectations(construction, results, scenario, tolerance)
 
+    start = time.perf_counter()
+    for e in results.values():
+        if isinstance(e, dict):  # each array in the report's [re, im] form
+            e.update({k: encode_matrix(v) for k, v in e.items() if isinstance(v, np.ndarray)})
     report = {
         "format": REPORT_FORMAT,
         "name": scenario.name,
@@ -91,19 +99,26 @@ def execute_scenario(scenario: Scenario) -> ScenarioOutcome:
         "construction": construction,
         "results": results,
     }
-    return ScenarioOutcome(report, side_files, timings, [])
+    timings.append(("encode", time.perf_counter() - start))
+    return ScenarioOutcome(report, side_files, timings, failures)
 
 
-def compare_expectations(report: dict, scenario: Scenario, default_tol: float) -> list[str]:
-    """Check a report against the scenario's embedded expectations; returns
-    human-readable failure messages (empty when everything matches)."""
+def encode_matrix(mat: np.ndarray) -> list[list[list[float]]]:
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+
+
+def compare_expectations(
+    construction: dict | None, results: dict, scenario: Scenario, default_tol: float
+) -> list[str]:
+    """Check the built state's description and the analyses' results against the scenario's
+    embedded expectations; returns human-readable failure messages (empty when all match)."""
     tol = scenario.tolerance if scenario.tolerance is not None else default_tol
-    results = report["results"]
     failures: list[str] = []
     for key, wanted in scenario.expectations.items():
         expectation = EXPECTATIONS[key]
         if expectation.source is None:
-            entry = report.get("construction")
+            entry = construction
             if entry is None:
                 failures.append(f"{key}: scenario built no state")
                 continue
@@ -175,8 +190,7 @@ def _run_checked(path: Path, tolerance: float, out_dir: Path, suite: dict[str, P
             raise ScenarioValidationError(f"name {name!r} is already used by {suite[name].name}")
         if suite is not None and not scenario.expectations:
             raise ScenarioValidationError("no expectations embedded")
-        outcome = execute_scenario(scenario)
-        outcome.failures.extend(compare_expectations(outcome.report, scenario, tolerance))
+        outcome = execute_scenario(scenario, tolerance)
         write_outcome(outcome, out_dir)  # a NaN in the report fails encoding with a ValueError
     except ScenarioParseError as exc:
         return name, _Failed(EXIT_PARSE, "parse", str(exc))

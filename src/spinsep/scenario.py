@@ -95,8 +95,10 @@ class ConstructionError(Exception):
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _MAX_SEED = 2**64 - 1
 MAX_ARRAY_ENTRIES = 2**24  # 268 MB of complex entries: the dense rho of a dim-4096 state
-MAX_PROBE_WORK = 2**26  # multiply-adds of the probe's sigma loop, ~1 s where they are all writes
+MAX_WORK = 2**26  # multiply-adds of the probe's sigma loop, ~1 s where they are all writes
+MAX_REPORT_ENTRIES = 2**18  # spin-matrix entries one analysis writes to the report
 MAX_SWEEP_STEPS = 1000  # each step builds and reduces one two-particle state
+SWEEP_WORK_PER_ENTRY = 4  # a step spends 60-77 ns per pair-state entry, 4-5 probe multiply-adds
 SWEEP_CSV_HEADER = "overlap,trace,min_eig,negativity,entropy"
 
 
@@ -142,11 +144,6 @@ def decode_matrix(value, where: str) -> np.ndarray:
     if any(r.size != width for r in rows):
         raise ScenarioValidationError(f"{where}: rows have inconsistent lengths")
     return np.vstack(rows)
-
-
-def encode_matrix(mat: np.ndarray) -> list[list[list[float]]]:
-    mat = np.asarray(mat, dtype=complex)
-    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 @dataclass
@@ -200,18 +197,20 @@ def _require_finite(obj) -> None:
             stack.extend(reversed([(v, f"{where}[{k}]") for k, v in enumerate(node)]))
 
 
-def _within_budget(entries: int, what: str) -> None:
+def _afford(what: str, entries: int = 0, work: int = 0, report: int = 0) -> None:
+    """Refuse a scenario whose ``what`` would allocate an array of ``entries``, take ``work``
+    multiply-adds or write ``report`` matrix entries to the report above their limits."""
     _require(
         entries <= MAX_ARRAY_ENTRIES,
         f"space: {what} has {entries} entries, above the limit of {MAX_ARRAY_ENTRIES}",
     )
-
-
-def _probe_work(space: SpaceSpec, regions: list[SpatialRegion]) -> int:
-    """The multiply-adds of the probe's sigma loop: for each of the n! sigma, the product
-    M^T conj(M) of the (prod_k |R_k|) x d_h^n mode block M, at least one per entry written."""
-    blocks = math.factorial(space.particles) * math.prod(len(r.modes) for r in regions)
-    return blocks * space.spin_dim ** (2 * space.particles)
+    _require(
+        work <= MAX_WORK, f"space: {what} takes {work} multiply-adds, above the limit of {MAX_WORK}"
+    )
+    _require(
+        report <= MAX_REPORT_ENTRIES,
+        f"space: {what} reports {report} matrix entries, above the limit of {MAX_REPORT_ENTRIES}",
+    )
 
 
 def _positive_int(obj, key: str, where: str) -> int:
@@ -355,7 +354,7 @@ def _check_embed_pure(scenario: Scenario, spec: dict):
 
 def _check_embed_mixed(scenario: Scenario, spec: dict):
     space = scenario.space
-    _within_budget(_spin_matrix_entries(space), "the embedding target")
+    _afford("the embedding target", space.spin_dim ** (2 * space.particles))
     target = decode_matrix(spec.get("target"), "state.target")
     dim = space.spin_dim**space.particles
     _require(target.shape == (dim, dim), "state.target: wrong dimension")
@@ -366,7 +365,7 @@ def _check_embed_mixed(scenario: Scenario, spec: dict):
 
 def _check_embed_random(scenario: Scenario, spec: dict):
     space = scenario.space
-    _within_budget(_spin_matrix_entries(space), "the embedding target")
+    _afford("the embedding target", space.spin_dim ** (2 * space.particles))
     rng = np.random.default_rng(_given(scenario, "seed", "for randomized scenarios"))
     dim = space.spin_dim**space.particles
     rank = spec.get("rank", dim)
@@ -402,28 +401,27 @@ def _leading_regions(scenario: Scenario, count: int, kind: str) -> list[str]:
 
 def _check_reduction(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
+    entries = space.spin_dim ** (2 * space.particles)
+    _afford("the largest array of the probe reduction", entries)
     names = opts.get("regions", _leading_regions(scenario, space.particles, "reduction"))
     _require(
         isinstance(names, list) and len(names) == space.particles,
         "analysis.regions: expected one region per particle",
     )
     regions = [scenario.region(n) for n in names]
-    work = _probe_work(space, regions)
-    _require(
-        work <= MAX_PROBE_WORK,
-        f"space: the probe reduction takes {work} multiply-adds over these regions, "
-        f"above the limit of {MAX_PROBE_WORK}",
-    )
+    # for each of the n! sigma, M^T conj(M) of the (prod_k |R_k|) x d_h^n mode block M
+    blocks = math.factorial(space.particles) * math.prod(len(r.modes) for r in regions)
+    _afford("the probe reduction", work=blocks * entries, report=2 * entries)
 
     def run(state, results: dict) -> dict:
         raw = reduced_spin_probe(state, regions, space.spin_dim, space.num_modes)
         rep = reduction_report(raw, space.particles, space.spin_dim)
         return {
-            "raw_matrix": encode_matrix(raw.matrix),
+            "raw_matrix": raw.matrix,
             "trace": float(raw.trace),
             "hermiticity_defect": float(raw.hermiticity_defect),
             "min_eigenvalue": float(raw.min_eigenvalue),
-            "normalized": None if rep.normalized is None else encode_matrix(rep.normalized),
+            "normalized": rep.normalized,
             "symmetry_class": rep.symmetry_class,
             "valid_state": bool(rep.valid_state),
         }
@@ -433,12 +431,15 @@ def _check_reduction(scenario: Scenario, opts: dict, where: str):
 
 def _check_spatial_trace(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
+    entries = space.spin_dim ** (2 * space.particles)
+    _afford("the largest array of the spatial trace", entries)
+    _afford("the spatial trace", report=entries)
 
     def run(state, results: dict) -> dict:
         reduced = trace_out_spatial(state, space)
         verdict = classify_symmetry(reduced, space.particles, space.spin_dim)
         return {
-            "matrix": encode_matrix(reduced),
+            "matrix": reduced,
             "trace": float(np.trace(reduced).real),
             "symmetry_class": verdict.label,
             "antisymmetric_defect": float(verdict.antisymmetric_defect),
@@ -450,6 +451,8 @@ def _check_spatial_trace(scenario: Scenario, opts: dict, where: str):
 
 def _check_entanglement(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
+    entries = space.spin_dim ** (2 * space.particles)
+    _afford("the largest array of the entanglement analysis", entries)
     sources = ["reduction", "spatial_trace"]
     given = opts.get("source")
     _require("source" not in opts or given in sources, f"{where}.source: expected one of {sources}")
@@ -465,11 +468,9 @@ def _check_entanglement(scenario: Scenario, opts: dict, where: str):
         entry = results[source]
         if "error" in entry:
             raise ConstructionError(f"entanglement analysis needs a successful {source!r} analysis")
-        encoded = entry.get("normalized") if source == "reduction" else entry.get("matrix")
-        if encoded is None:
+        rho = entry.get("normalized") if source == "reduction" else entry.get("matrix")
+        if rho is None:
             raise ConstructionError("no normalized reduced state available")
-        # encode_matrix wrote these [re, im] pairs in this run: read them back bit for bit
-        rho = np.array(encoded, dtype=float).view(complex)[..., 0]
         d_left, d_right = space.spin_dim, space.spin_dim ** (space.particles - 1)
         neg = float(negativity(rho, d_left, d_right))
         purity = float(np.trace(rho @ rho).real)
@@ -492,6 +493,8 @@ def _check_entanglement(scenario: Scenario, opts: dict, where: str):
 
 def _check_algebra(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
+    # a commutator on the two-particle space
+    _afford("the largest array of the algebra analysis", space.one_particle_dim**4)
     pairs = opts.get("pairs", [_leading_regions(scenario, 2, "algebra")])
     _require(
         isinstance(pairs, list) and pairs, "analysis.pairs: expected a nonempty array of pairs"
@@ -524,6 +527,9 @@ def _check_algebra(scenario: Scenario, opts: dict, where: str):
 
 def _check_overlap_sweep(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
+    # the two-particle states and the probe's two-spin matrices
+    pair_entries = space.one_particle_dim**2
+    _afford("the largest array of the overlap sweep", max(pair_entries, space.spin_dim**4))
     default_1, default_2 = _leading_regions(scenario, 2, "overlap_sweep")
     parity = _given(scenario, "parity", "by the overlap sweep")
     _require(space.spin_dim >= 2, "overlap_sweep: needs at least two spin levels")
@@ -532,6 +538,7 @@ def _check_overlap_sweep(scenario: Scenario, opts: dict, where: str):
         is_integer(steps) and 2 <= steps <= MAX_SWEEP_STEPS,
         f"overlap_sweep.steps: expected an integer in [2, {MAX_SWEEP_STEPS}]",
     )
+    _afford("the overlap sweep", work=steps * SWEEP_WORK_PER_ENTRY * pair_entries)
     region1 = scenario.region(opts.get("region_1", default_1))
     region2 = scenario.region(opts.get("region_2", default_2))
     eye = np.eye(space.spin_dim, dtype=complex)
@@ -570,20 +577,15 @@ def _sweep_csv(entry: dict) -> dict[str, list[str]]:
     return {entry["csv"]: lines}
 
 
-def _spin_matrix_entries(space: SpaceSpec) -> int:
-    return space.spin_dim ** (2 * space.particles)
-
-
 @dataclass(frozen=True)
 class Analysis:
     """``check(scenario, options, where)`` validates the options listed at ``where`` and returns
     ``run(state vector, results so far)``, which returns the entry ``summary`` and ``side_files``
-    render; ``title`` names the analysis in messages, ``array_entries`` its largest array."""
+    render; ``title`` names the analysis in messages."""
 
     check: Callable[[Scenario, dict, str], Callable[[Any, dict], Any]]
     summary: Callable[[Any], str]
     title: str
-    array_entries: Callable[[SpaceSpec], int]
     side_files: Callable[[Any], dict[str, list[str]]] = lambda entry: {}
     needs_state: bool = False
 
@@ -594,14 +596,12 @@ ANALYSES = {
         lambda e: f"  reduction: trace {e['trace']:.12g}, min eig "
         f"{e['min_eigenvalue']:.3e}, class {e['symmetry_class']}",
         "the probe reduction",
-        _spin_matrix_entries,
         needs_state=True,
     ),
     "spatial_trace": Analysis(
         _check_spatial_trace,
         lambda e: f"  spatial_trace: class {e['symmetry_class']}",
         "the spatial trace",
-        _spin_matrix_entries,
         needs_state=True,
     ),
     "entanglement": Analysis(
@@ -609,7 +609,6 @@ ANALYSES = {
         lambda e: f"  entanglement: negativity {e['negativity']:.12g}, entropy "
         f"{e['entropy_bits']:.12g} bits, {e['separability']}",
         "the entanglement analysis",
-        _spin_matrix_entries,
         needs_state=True,
     ),
     "algebra": Analysis(
@@ -620,13 +619,11 @@ ANALYSES = {
             for e in entries
         ),
         "the algebra analysis",
-        lambda space: space.one_particle_dim**4,  # a commutator on the two-particle space
     ),
     "overlap_sweep": Analysis(
         _check_overlap_sweep,
         lambda e: f"  overlap_sweep: {len(e['rows'])} steps -> {e['csv']}",
         "the overlap sweep",
-        lambda space: max(space.one_particle_dim**2, space.spin_dim**4),  # two-particle states
         side_files=_sweep_csv,
     ),
 }
@@ -681,7 +678,7 @@ def _separable(key: str, got, wanted, tol: float) -> str | None:
 def _deviation(key: str, got, wanted: np.ndarray, tol: float) -> str | None:
     if got is None:
         return f"{key}: no normalized reduced state"
-    deviation = frob(decode_matrix(got, f"results.{key}") - wanted)
+    deviation = frob(got - wanted)
     return f"{key}: deviation {deviation:.3e} > {tol}" if deviation > tol else None
 
 
@@ -780,12 +777,11 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         tolerance = _finite_real(tolerance)
         _require(tolerance is not None and tolerance > 0, "tolerance: expected a positive number")
 
-    # registrations and size budgets first, so no spec is decoded for a scenario too large to run
     state_spec = obj.get("state")
     if state_spec is not None:
         _require(isinstance(state_spec, dict), "state: expected an object")
         check_state = _registered(STATES, state_spec.get("kind"), "state.kind")
-        _within_budget(space.total_dim, "the state vector")
+        _afford("the state vector", space.total_dim)
 
     analyses_obj = obj.get("analyses")
     _require(isinstance(analyses_obj, list) and analyses_obj, "analyses: required nonempty array")
@@ -802,7 +798,6 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         listed[kind] = (where, entry, analysis)
         if analysis.needs_state:
             _require(state_spec is not None, "state: required by the requested analyses")
-        _within_budget(analysis.array_entries(space), f"the largest array of {analysis.title}")
 
     expectations_obj = obj.get("expectations", {})
     _require(isinstance(expectations_obj, dict), "expectations: expected an object")
@@ -812,11 +807,13 @@ def parse_scenario(obj: Any, source: str = "<scenario>") -> Scenario:
         _require(key in EXPECTATIONS, f"{where}: unknown expectation")
         expectations[key] = EXPECTATIONS[key].value(value, where, space)
 
+    # the analyses' checks afford their sizes first, so no state spec is decoded for a scenario
+    # too large to run
     scenario = Scenario(name, space, parity, regions, seed, tolerance, expectations, raw=obj)
-    if state_spec is not None:
-        scenario.build = check_state(scenario, state_spec)
     for kind, (where, entry, analysis) in listed.items():
         scenario.analyses[kind] = analysis.check(scenario, entry, where)
+    if state_spec is not None:
+        scenario.build = check_state(scenario, state_spec)
     return scenario
 
 

@@ -14,6 +14,7 @@ from spinsep.runner import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    encode_matrix,
     execute_scenario,
     run_scenario_file,
     run_suite,
@@ -21,12 +22,13 @@ from spinsep.runner import (
 from spinsep.scenario import (
     ConstructionError,
     MAX_ARRAY_ENTRIES,
-    MAX_PROBE_WORK,
+    MAX_REPORT_ENTRIES,
     MAX_SWEEP_STEPS,
+    MAX_WORK,
+    SWEEP_WORK_PER_ENTRY,
     ScenarioValidationError,
     decode_complex,
     decode_matrix,
-    encode_matrix,
     load_scenario,
     parse_scenario,
 )
@@ -191,8 +193,8 @@ def test_a_probe_above_its_work_bound_fails_before_it_runs(tmp_path, monkeypatch
     lines = []
     assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
     assert lines == [
-        f"validation error: space: the probe reduction takes {24 * 8**8} multiply-adds over "
-        f"these regions, above the limit of {MAX_PROBE_WORK}"
+        f"validation error: space: the probe reduction takes {24 * 8**8} multiply-adds, "
+        f"above the limit of {MAX_WORK}"
     ]
     assert not list(tmp_path.glob("*.report.json"))
 
@@ -204,6 +206,70 @@ def test_parse_scenario_accepts_a_probe_at_its_work_bound():
     at_limit["regions"][0]["modes"].append(256)
     with pytest.raises(ScenarioValidationError, match="space: the probe reduction"):
         parse_scenario(at_limit)
+
+
+@pytest.mark.parametrize(
+    "spin_levels, particles, analyses, what, entries",
+    [
+        # a 1024-square spin matrix: ~120 MB of JSON and ~1 GB of RSS through the encoder
+        (32, 2, ["reduction", "entanglement"], "the probe reduction", 2 * 32**4),
+        (32, 2, ["spatial_trace"], "the spatial trace", 32**4),
+        # a 4096-square spin matrix, at the array budget, inside the probe's work bound
+        (64, 2, ["reduction"], "the probe reduction", 2 * 64**4),
+        # the same size at n = 4, whose symmetry class alone takes ~6 s
+        (8, 4, ["spatial_trace", "entanglement"], "the spatial trace", 8**8),
+    ],
+    ids=["reduction_1024", "spatial_trace_1024", "reduction_4096", "spatial_trace_4096"],
+)
+def test_a_report_above_its_bound_fails_before_anything_runs(
+    tmp_path, monkeypatch, spin_levels, particles, analyses, what, entries
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduction ran")
+
+    monkeypatch.setattr(scenario, "reduced_spin_probe", refuse)
+    monkeypatch.setattr(scenario, "trace_out_spatial", refuse)
+    obj = _probe_scenario(spin_levels, [[0]] * particles)
+    obj["analyses"] = analyses
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [
+        f"validation error: space: {what} reports {entries} matrix entries, "
+        f"above the limit of {MAX_REPORT_ENTRIES}"
+    ]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def _sweep_scenario(modes, steps):
+    obj = _no_state({"modes": modes, "spin_levels": 2, "particles": 2}, ["overlap_sweep"])
+    obj["analyses"] = [{"analysis": "overlap_sweep", "steps": steps}]
+    return obj
+
+
+def test_a_sweep_above_its_work_bound_fails_before_it_runs(tmp_path, monkeypatch):
+    # each of the 21 steps would build and reduce a pair state of 2^24 entries
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep step ran")
+
+    monkeypatch.setattr(scenario, "n_particle_localized", refuse)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_sweep_scenario(2048, 21)), encoding="utf-8")
+    lines = []
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert lines == [
+        f"validation error: space: the overlap sweep takes {21 * SWEEP_WORK_PER_ENTRY * 4096**2} "
+        f"multiply-adds, above the limit of {MAX_WORK}"
+    ]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_parse_scenario_accepts_a_sweep_at_its_work_bound():
+    # 4 steps of a 2048^2-entry pair state is the limit, a fifth step is not
+    parse_scenario(_sweep_scenario(1024, 4))
+    with pytest.raises(ScenarioValidationError, match="space: the overlap sweep takes"):
+        parse_scenario(_sweep_scenario(1024, 5))
 
 
 def test_random_scenarios_require_seed():
@@ -506,6 +572,8 @@ def test_superposition_term_keys_follow_the_particle_count(tmp_path, particles, 
     terms[1] = {k: v for k, v in {**terms[1], **edit}.items() if v is not None}
     obj = _minimal_scenario(
         space={"modes": 3, "spin_levels": 2, "particles": particles},
+        # one region per particle, so that the reduction's check passes and the state's runs
+        regions=[{"name": f"r{k}", "modes": [k]} for k in range(particles)],
         state={"kind": "superposition", "terms": terms},
     )
     path = tmp_path / "terms.json"
@@ -605,16 +673,49 @@ def test_run_scenario_writes_report_sidecar(tmp_path):
     report = json.loads((tmp_path / "minimal.report.json").read_text())
     assert report["name"] == "minimal"
     assert report["results"]["reduction"]["trace"] == pytest.approx(1.0, abs=1e-12)
-    assert any("timings" in line for line in lines)  # text summary carries timings
+    (timings,) = [line for line in lines[0].splitlines() if "timings" in line]
+    # the text summary carries timings, the report's encoding among them
+    assert timings.startswith("  timings: construction ") and ", encode " in timings
     assert "timings" not in json.dumps(report)  # the JSON artifact does not
+
+
+def test_the_report_encodes_each_matrix_once(monkeypatch):
+    # analyses hand arrays on, to each other and to the expectations, and the runner writes
+    # each one in the [re, im] form once
+    encoded, read = [], []
+    encode, negativity = runner.encode_matrix, scenario.negativity
+
+    def counted(mat):
+        encoded.append(mat)
+        return encode(mat)
+
+    def recorded(rho, *args):
+        read.append(rho)
+        return negativity(rho, *args)
+
+    monkeypatch.setattr(runner, "encode_matrix", counted)
+    monkeypatch.setattr(scenario, "negativity", recorded)
+    analyses = ["reduction", "spatial_trace", "entanglement", "algebra"]
+    obj = _minimal_scenario(analyses=analyses, expectations={"reduced_matrix": np.eye(4).tolist()})
+    outcome = execute_scenario(parse_scenario(obj))
+    matrices = [
+        value
+        for entry in outcome.report["results"].values()
+        if isinstance(entry, dict)
+        for value in entry.values()
+        if isinstance(value, list) and value and isinstance(value[0], list)
+    ]
+    assert len(encoded) == len(matrices) == 3
+    assert [type(rho) for rho in read] == [np.ndarray]
+    assert outcome.failures == ["reduced_matrix: deviation 1.732e+00 > 1e-10"]
 
 
 def test_non_finite_report_value_is_a_construction_error(tmp_path, monkeypatch):
     # a NaN result has no strict JSON form: the run exits 4 with a message and writes no report
     execute = runner.execute_scenario
 
-    def with_nan(scenario):
-        outcome = execute(scenario)
+    def with_nan(scenario, tolerance):
+        outcome = execute(scenario, tolerance)
         outcome.report["results"]["reduction"]["trace"] = math.nan
         return outcome
 
