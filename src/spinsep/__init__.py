@@ -13,12 +13,12 @@ from .entanglement import (
     SchmidtData,
     negativity,
     partial_transpose,
-    ppt_classification,
     schmidt,
+    separability,
     von_neumann_entropy,
 )
 from .lift import lift_one_particle, lift_product
-from .linalg import kron, permute_factors
+from .linalg import kron
 from .reduction import (
     RawReduced,
     ReductionReport,
@@ -33,7 +33,6 @@ from .spatial import (
     SpatialRegion,
     Wavefunction,
     mode_wavefunction,
-    overlap,
     projector,
     wavefunction,
 )
@@ -80,14 +79,12 @@ __all__ = [
     "mode_wavefunction",
     "n_particle_localized",
     "negativity",
-    "overlap",
     "partial_transpose",
-    "permute_factors",
-    "ppt_classification",
     "projector",
     "reduced_spin_probe",
     "reduction_report",
     "schmidt",
+    "separability",
     "subspace_state",
     "superposition_state",
     "trace_out_spatial",

@@ -17,6 +17,7 @@ from .linalg import as_matrix, frob, identity, kron, matrix_unit, projection_def
 from .symmetry import Parity, symmetrize
 
 PROJECTION_TOL = 1e-10
+COMMUTE_TOL = 1e-10  # commutator norms at or below it read as zero
 TIE_TOL = 1e-12  # relative spread of norms read as one maximum
 
 
@@ -69,7 +70,7 @@ def _first_maximum(pairs: list[tuple[str, str]], norms: list[float]) -> tuple[fl
     return top, next(pair for pair, norm in zip(pairs, norms) if norm >= top * (1 - TIE_TOL))
 
 
-def bipartition_check(p, q, spin_dim: int, tol: float = 1e-10) -> BipartitionVerdict:
+def bipartition_check(p, q, spin_dim: int) -> BipartitionVerdict:
     """Sweep both local subalgebras over a Hermitian spin-operator basis and
     report the largest commutator norm with the pair achieving it.
 
@@ -96,11 +97,11 @@ def bipartition_check(p, q, spin_dim: int, tol: float = 1e-10) -> BipartitionVer
     max_norm, witness = _first_maximum(pairs, norms)
     max_proj, proj_witness = _first_maximum(pairs, proj_norms)
 
-    commutes = max_norm <= tol
+    commutes = max_norm <= COMMUTE_TOL
     return BipartitionVerdict(
         commutes=commutes,
         max_commutator_norm=max_norm,
         witness=None if commutes else witness,
         projected_max_norm=max_proj,
-        projected_witness=None if max_proj <= tol else proj_witness,
+        projected_witness=None if max_proj <= COMMUTE_TOL else proj_witness,
     )

@@ -1,6 +1,6 @@
 """Entanglement diagnostics for bipartite states: Schmidt decomposition,
-von Neumann entropy (base 2), partial transpose, negativity and PPT
-verdicts."""
+von Neumann entropy (base 2), partial transpose, negativity and the
+separability verdict read off it."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, check_density_matrix, check_state_vector
+from .linalg import as_matrix, as_vector, check_state_vector
 
 PPT_DECISIVE_DIMS = {(2, 2), (2, 3)}
+NEGATIVITY_TOL = 1e-10
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -40,30 +41,23 @@ def schmidt(psi, d_left: int, d_right: int) -> SchmidtData:
     return SchmidtData(s, u, vh.T)
 
 
-def von_neumann_entropy(rho, validate: bool = True) -> float:
+def von_neumann_entropy(rho) -> float:
     """Entropy in bits, with 0 log 0 = 0.  Eigenvalues at or below size * eps * the
     largest are rounding, not population: they are dropped and the rest renormalized,
-    so a pure state reads exactly 0."""
+    so a pure state reads exactly 0.  ``rho`` is not validated; ``check_density_matrix``
+    does that."""
     rho = as_matrix(rho)
-    if validate:
-        check_density_matrix(rho)
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)  # ascending
     kept = eigs[eigs > eigs.size * np.finfo(float).eps * eigs[-1]]
     kept = kept / kept.sum()
     return float(-(kept * np.log2(kept)).sum() + 0.0)
 
 
-def partial_transpose(rho, d_left: int, d_right: int, side: str = "right") -> np.ndarray:
-    """Transpose one tensor factor of a bipartite operator."""
+def partial_transpose(rho, d_left: int, d_right: int) -> np.ndarray:
+    """Transpose the right tensor factor of a bipartite operator."""
     rho = as_matrix(rho)
     _split_dims(rho.shape[0], d_left, d_right)
-    tensor = rho.reshape(d_left, d_right, d_left, d_right)
-    if side == "right":
-        tensor = tensor.transpose(0, 3, 2, 1)
-    elif side == "left":
-        tensor = tensor.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    tensor = rho.reshape(d_left, d_right, d_left, d_right).transpose(0, 3, 2, 1)
     return tensor.reshape(d_left * d_right, d_left * d_right)
 
 
@@ -75,19 +69,14 @@ def negativity(rho, d_left: int, d_right: int) -> float:
     return float(-eigs[eigs < 0.0].sum() + 0.0)
 
 
-def ppt_classification(rho, d_left: int, d_right: int, tol: float = 1e-10) -> str:
-    """Separability verdict from the partial transpose.
+def separability(neg: float, d_left: int, d_right: int) -> str:
+    """Separability verdict from the negativity of a d_left x d_right state.
 
-    Negativity above tolerance certifies entanglement in any dimension; a
+    Negativity above ``NEGATIVITY_TOL`` certifies entanglement in any dimension; a
     vanishing negativity certifies separability only for 2x2 and 2x3
     bipartitions and is reported as inconclusive otherwise.
     """
-    return _separability(negativity(rho, d_left, d_right), d_left, d_right, tol)
-
-
-def _separability(neg: float, d_left: int, d_right: int, tol: float = 1e-10) -> str:
-    """The verdict ``ppt_classification`` reads off a negativity already computed."""
-    if neg > tol:
+    if neg > NEGATIVITY_TOL:
         return ENTANGLED
     if tuple(sorted((d_left, d_right))) in PPT_DECISIVE_DIMS:
         return SEPARABLE

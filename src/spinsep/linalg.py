@@ -1,5 +1,5 @@
-"""Dense complex multilinear algebra: Kronecker products, factor permutations
-and state checks on plain numpy arrays.
+"""Dense complex multilinear algebra: Kronecker products and state checks on
+plain numpy arrays.
 
 Index conventions used throughout the package:
 
@@ -10,12 +10,10 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+PSD_TOL = 1e-10  # eigenvalues above -PSD_TOL are rounding, not negative population
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -82,38 +80,6 @@ def kron(*factors) -> np.ndarray:
     return out
 
 
-def _check_permutation(perm: Sequence[int], k: int) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
-    return perm
-
-
-def permute_factors(arr, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors of a vector or square operator.
-
-    The basis vector ``e_{i_0} x ... x e_{i_{k-1}}`` is mapped to the basis
-    vector whose m-th factor is ``e_{i_{perm^{-1}(m)}}``; operators are
-    conjugated by the induced permutation matrix.
-    """
-    dims = tuple(int(d) for d in dims)
-    k = len(dims)
-    perm = _check_permutation(perm, k)
-    inv = np.argsort(perm)
-    total = math.prod(dims)
-    arr = np.asarray(arr, dtype=complex)
-    if arr.ndim == 1:
-        if arr.shape != (total,):
-            raise ValueError(f"vector length {arr.shape} does not match dims {dims}")
-        return arr.reshape(dims).transpose(inv).reshape(total)
-    if arr.ndim == 2:
-        if arr.shape != (total, total):
-            raise ValueError(f"matrix shape {arr.shape} does not match dims {dims}")
-        axes = list(inv) + [k + ax for ax in inv]
-        return arr.reshape(dims + dims).transpose(axes).reshape(total, total)
-    raise ValueError("permute_factors expects a vector or a square matrix")
-
-
 def hermiticity_defect(mat) -> float:
     mat = np.asarray(mat)
     return frob(mat - dagger(mat))
@@ -125,33 +91,34 @@ def projection_defect(mat) -> float:
     return max(frob(mat @ mat - mat), hermiticity_defect(mat))
 
 
-def normalize(vec, zero_tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+def normalize(vec) -> tuple[np.ndarray, float]:
     """Return (unit vector, original norm); raise if the norm is below
-    ``zero_tol``."""
+    ``DEFAULT_TOL``."""
     vec = as_vector(vec)
     norm = float(np.linalg.norm(vec))
-    if norm < zero_tol:
+    if norm < DEFAULT_TOL:
         raise ValueError("cannot normalize a (numerically) zero vector")
     return vec / norm, norm
 
 
-def check_state_vector(vec, tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_state_vector(vec) -> np.ndarray:
     vec = as_vector(vec)
-    if abs(np.linalg.norm(vec) - 1.0) > tol:
+    if abs(np.linalg.norm(vec) - 1.0) > DEFAULT_TOL:
         raise ValueError("state vector is not normalized")
     return vec
 
 
-def check_density_matrix(rho, tol: float = DEFAULT_TOL, psd_tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate Hermiticity, unit trace (within ``DEFAULT_TOL``) and positivity (within
+    ``PSD_TOL``) of a density matrix."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if hermiticity_defect(rho) > tol:
+    if hermiticity_defect(rho) > DEFAULT_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL or abs(np.trace(rho).imag) > DEFAULT_TOL:
         raise ValueError("density matrix does not have unit trace")
-    if float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[0]) < -psd_tol:
+    if float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[0]) < -PSD_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 

@@ -43,6 +43,7 @@ from .symmetry import (
 
 TRACE_FLOOR = 1e-10
 EIG_FLOOR = -1e-10
+DEFECT_TOL = 1e-10  # Hermiticity and sector-compression defects read as zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +152,7 @@ def trace_out_spatial(state, spec: SpaceSpec) -> np.ndarray:
     return _mode_blocks(state, (slice(None),) * n, spec.num_modes, spec.spin_dim, range(n))
 
 
-def classify_symmetry(
-    rho_spin, particles: int, spin_dim: int, tol: float = 1e-10
-) -> SymmetryVerdict:
+def classify_symmetry(rho_spin, particles: int, spin_dim: int) -> SymmetryVerdict:
     """Which spin-space symmetry sector supports the matrix: antisymmetric,
     symmetric, or neither (compression defects reported for both)."""
     rho_spin = as_matrix(rho_spin)
@@ -162,9 +161,9 @@ def classify_symmetry(
         raise ValueError("matrix does not act on the n-spin space")
     defect_minus = frob(compress(rho_spin, particles, spin_dim, Parity.FERMI) - rho_spin)
     defect_plus = frob(compress(rho_spin, particles, spin_dim, Parity.BOSE) - rho_spin)
-    if defect_minus <= tol:
+    if defect_minus <= DEFECT_TOL:
         label = ANTISYMMETRIC
-    elif defect_plus <= tol:
+    elif defect_plus <= DEFECT_TOL:
         label = SYMMETRIC
     else:
         label = NO_SYMMETRY
@@ -189,12 +188,7 @@ def cluster_expectation(
     return complex(np.einsum("ij,jkik->", spin_op, reduced.reshape((spin_dim,) * 4)))
 
 
-def reduction_report(
-    raw: RawReduced,
-    particles: int,
-    spin_dim: int,
-    tol: float = 1e-10,
-) -> ReductionReport:
+def reduction_report(raw: RawReduced, particles: int, spin_dim: int) -> ReductionReport:
     """Normalize a raw reduction when its diagnostics allow it and classify
     the symmetry sector of the normalized state."""
     normalized = None
@@ -202,6 +196,6 @@ def reduction_report(
     if raw.trace > TRACE_FLOOR and raw.min_eigenvalue >= EIG_FLOOR:
         hermitian_part = (raw.matrix + dagger(raw.matrix)) / 2.0
         normalized = hermitian_part / raw.trace
-        symmetry = classify_symmetry(normalized, particles, spin_dim, tol).label
-    valid = normalized is not None and raw.hermiticity_defect <= tol
+        symmetry = classify_symmetry(normalized, particles, spin_dim).label
+    valid = normalized is not None and raw.hermiticity_defect <= DEFECT_TOL
     return ReductionReport(raw, normalized, symmetry, valid)

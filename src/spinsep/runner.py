@@ -55,7 +55,6 @@ def build_state(scenario: Scenario):
     raising ConstructionError when the state vanishes or cannot be realized."""
     if scenario.build is None:
         return None, None
-    space = scenario.space
     try:
         built = scenario.build()
     except ValueError as exc:  # ZeroStateError included
@@ -63,7 +62,7 @@ def build_state(scenario: Scenario):
     return built.vector, {
         "kind": scenario.raw["state"]["kind"],
         "raw_norm": built.raw_norm,
-        "statistics": exchange_character(built.vector, space.particles, space.one_particle_dim),
+        "statistics": exchange_character(built.vector, scenario.space.particles),
         "dim": int(built.vector.size),
     }
 

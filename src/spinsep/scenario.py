@@ -44,9 +44,9 @@ from .entanglement import (
     ENTANGLED,
     PPT_INCONCLUSIVE,
     SEPARABLE,
-    _separability,
     negativity,
     schmidt,
+    separability,
     von_neumann_entropy,
 )
 from .linalg import frob, normalize
@@ -99,6 +99,7 @@ MAX_WORK = 2**26  # multiply-adds of the probe's sigma loop, ~1 s where they are
 MAX_REPORT_ENTRIES = 2**18  # spin-matrix entries one analysis writes to the report
 MAX_SWEEP_STEPS = 1000  # each step builds and reduces one two-particle state
 SWEEP_WORK_PER_ENTRY = 4  # a step spends 60-77 ns per pair-state entry, 4-5 probe multiply-adds
+ALGEBRA_WORK_PER_ENTRY = 3  # a basis pair spends 33-36 ns per commutator entry
 SWEEP_CSV_HEADER = "overlap,trace,min_eig,negativity,entropy"
 
 
@@ -477,9 +478,9 @@ def _check_entanglement(scenario: Scenario, opts: dict, where: str):
         out = {
             "source": source,
             "negativity": neg,
-            "entropy_bits": float(von_neumann_entropy(rho, validate=False)),
+            "entropy_bits": float(von_neumann_entropy(rho)),
             "purity": purity,
-            "separability": _separability(neg, d_left, d_right),
+            "separability": separability(neg, d_left, d_right),
             "schmidt_coefficients": None,
         }
         if purity >= 1.0 - 1e-10:
@@ -494,11 +495,15 @@ def _check_entanglement(scenario: Scenario, opts: dict, where: str):
 def _check_algebra(scenario: Scenario, opts: dict, where: str):
     space = scenario.space
     # a commutator on the two-particle space
-    _afford("the largest array of the algebra analysis", space.one_particle_dim**4)
+    entries = space.one_particle_dim**4
+    _afford("the largest array of the algebra analysis", entries)
     pairs = opts.get("pairs", [_leading_regions(scenario, 2, "algebra")])
     _require(
         isinstance(pairs, list) and pairs, "analysis.pairs: expected a nonempty array of pairs"
     )
+    # each region pair sweeps d_h^4 basis pairs, one commutator each
+    work = len(pairs) * space.spin_dim**4 * entries * ALGEBRA_WORK_PER_ENTRY
+    _afford("the algebra analysis", work=work)
     checked = []
     for pair in pairs:
         _require(
@@ -563,7 +568,7 @@ def _check_overlap_sweep(scenario: Scenario, opts: dict, where: str):
             neg = ent = None
             if rep.normalized is not None:
                 neg = float(negativity(rep.normalized, space.spin_dim, space.spin_dim))
-                ent = float(von_neumann_entropy(rep.normalized, validate=False))
+                ent = float(von_neumann_entropy(rep.normalized))
             rows.append([math.sin(theta), float(raw.trace), float(raw.min_eigenvalue), neg, ent])
         return {"csv": f"{scenario.name}_sweep.csv", "rows": rows}
 

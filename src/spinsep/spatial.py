@@ -109,9 +109,3 @@ def mode_wavefunction(mode: int, num_modes: int) -> Wavefunction:
         raise ValueError(f"mode {mode} out of range for a {num_modes}-mode space")
     return Wavefunction(basis_vector(num_modes, mode), SpatialRegion([mode]))
 
-
-def overlap(f: Wavefunction, g: Wavefunction) -> complex:
-    """Inner product <f|g>, conjugate-linear in the first argument."""
-    if f.num_modes != g.num_modes:
-        raise ValueError("wavefunctions live in spaces of different dimension")
-    return complex(np.vdot(f.amplitudes, g.amplitudes))

@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import frob, nth_root_dim
 
 MAX_PARTICLES = 6
+EXCHANGE_TOL = 1e-10
 
 ANTISYMMETRIC = "antisymmetric"
 SYMMETRIC = "symmetric"
@@ -61,14 +62,13 @@ def compress(op, n: int, dim: int, parity: Parity) -> np.ndarray:
     return symmetrize(symmetrize(op, n, dim, parity).T, n, dim, parity).T
 
 
-def exchange_character(vec, n: int, dim: int | None = None, tol: float = 1e-10) -> str:
+def exchange_character(vec, n: int) -> str:
     """Classify a vector in (C^dim)^n as antisymmetric, symmetric, or neither,
-    according to which symmetrizer fixes it."""
+    according to which symmetrizer fixes it within ``EXCHANGE_TOL``."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if dim is None:
-        dim = nth_root_dim(vec.size, n)
-    if frob(symmetrize(vec, n, dim, Parity.FERMI) - vec) <= tol:
+    dim = nth_root_dim(vec.size, n)
+    if frob(symmetrize(vec, n, dim, Parity.FERMI) - vec) <= EXCHANGE_TOL:
         return ANTISYMMETRIC
-    if frob(symmetrize(vec, n, dim, Parity.BOSE) - vec) <= tol:
+    if frob(symmetrize(vec, n, dim, Parity.BOSE) - vec) <= EXCHANGE_TOL:
         return SYMMETRIC
     return NO_SYMMETRY

@@ -30,8 +30,9 @@ which lays the parts out as modes^n x spins^n and reorders them with
 ``interleave_particles``; ``perm_sign_by_count`` and ``phase``, the permutation
 weights of the n!-term sums; ``entropy_of_every_eigenvalue``,
 the entropy formula that counted rounding as population; and ``partial_trace``,
-``hermitian_spectrum``, ``is_separable_pure``, ``is_exchangeable`` and
-``spatial_projector``, which no module of the package calls.
+``hermitian_spectrum``, ``is_separable_pure``, ``is_exchangeable``,
+``spatial_projector``, ``permute_factors`` and ``overlap``, which no module of
+the package calls.
 """
 
 import itertools
@@ -52,10 +53,9 @@ from spinsep.linalg import (
     identity,
     kron,
     nth_root_dim,
-    permute_factors,
     projection_defect,
 )
-from spinsep.spatial import SpaceSpec, SpatialRegion, mode_wavefunction, overlap, projector
+from spinsep.spatial import SpaceSpec, SpatialRegion, Wavefunction, mode_wavefunction, projector
 from spinsep.states import (
     ZERO_TOL,
     BuiltState,
@@ -170,6 +170,20 @@ def partial_transpose_by_loops(rho, d_left, d_right):
                 for l in range(d_right):
                     out[i * d_right + j, k * d_right + l] = rho[
                         i * d_right + l, k * d_right + j
+                    ]
+    return out
+
+
+def partial_transpose_left_by_loops(rho, d_left, d_right):
+    """Transpose of the left tensor factor, which the package does not offer."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros_like(rho)
+    for i in range(d_left):
+        for j in range(d_right):
+            for k in range(d_left):
+                for l in range(d_right):
+                    out[i * d_right + j, k * d_right + l] = rho[
+                        k * d_right + j, i * d_right + l
                     ]
     return out
 
@@ -442,6 +456,45 @@ def spatial_projector(
     """
     factors = [kron(projector(r, num_modes), identity(spin_dim)) for r in regions]
     return lift_product(factors)
+
+
+def _check_permutation(perm: Sequence[int], k: int) -> tuple[int, ...]:
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(k)):
+        raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
+    return perm
+
+
+def permute_factors(arr, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Reorder tensor factors of a vector or square operator.
+
+    The basis vector ``e_{i_0} x ... x e_{i_{k-1}}`` is mapped to the basis
+    vector whose m-th factor is ``e_{i_{perm^{-1}(m)}}``; operators are
+    conjugated by the induced permutation matrix.
+    """
+    dims = tuple(int(d) for d in dims)
+    k = len(dims)
+    perm = _check_permutation(perm, k)
+    inv = np.argsort(perm)
+    total = math.prod(dims)
+    arr = np.asarray(arr, dtype=complex)
+    if arr.ndim == 1:
+        if arr.shape != (total,):
+            raise ValueError(f"vector length {arr.shape} does not match dims {dims}")
+        return arr.reshape(dims).transpose(inv).reshape(total)
+    if arr.ndim == 2:
+        if arr.shape != (total, total):
+            raise ValueError(f"matrix shape {arr.shape} does not match dims {dims}")
+        axes = list(inv) + [k + ax for ax in inv]
+        return arr.reshape(dims + dims).transpose(axes).reshape(total, total)
+    raise ValueError("permute_factors expects a vector or a square matrix")
+
+
+def overlap(f: Wavefunction, g: Wavefunction) -> complex:
+    """Inner product <f|g>, conjugate-linear in the first argument."""
+    if f.num_modes != g.num_modes:
+        raise ValueError("wavefunctions live in spaces of different dimension")
+    return complex(np.vdot(f.amplitudes, g.amplitudes))
 
 
 def _normalized(raw) -> BuiltState:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from spinsep.runner import (
     run_suite,
 )
 from spinsep.scenario import (
+    ALGEBRA_WORK_PER_ENTRY,
     ConstructionError,
     MAX_ARRAY_ENTRIES,
     MAX_REPORT_ENTRIES,
@@ -270,6 +272,41 @@ def test_parse_scenario_accepts_a_sweep_at_its_work_bound():
     parse_scenario(_sweep_scenario(1024, 4))
     with pytest.raises(ScenarioValidationError, match="space: the overlap sweep takes"):
         parse_scenario(_sweep_scenario(1024, 5))
+
+
+def _algebra_scenario(modes, spin_levels, pairs=1):
+    obj = _no_state({"modes": modes, "spin_levels": spin_levels, "particles": 2}, ["algebra"])
+    obj["analyses"] = [{"analysis": "algebra", "pairs": [["left", "right"]] * pairs}]
+    return obj
+
+
+def test_an_algebra_sweep_above_its_work_bound_fails_before_it_runs(tmp_path, monkeypatch):
+    # two modes with 16 spin levels: each 32^2-square commutator fits the array budget, but
+    # the sweep would take 16^4 of them, about 40 ms each
+    def refuse(*args, **kwargs):
+        raise AssertionError("the algebra sweep ran")
+
+    monkeypatch.setattr(scenario, "bipartition_check", refuse)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(_algebra_scenario(2, 16)), encoding="utf-8")
+    lines = []
+    start = time.perf_counter()
+    assert run_scenario_file(path, out_dir=tmp_path, echo=lines.append) == EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    assert lines == [
+        f"validation error: space: the algebra analysis takes "
+        f"{16**4 * 32**4 * ALGEBRA_WORK_PER_ENTRY} multiply-adds, above the limit of {MAX_WORK}"
+    ]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_parse_scenario_accepts_an_algebra_sweep_at_its_work_bound():
+    # the benchmark's largest sweep, two region pairs at 6 modes with 3 spin levels
+    parse_scenario(_algebra_scenario(6, 3, pairs=2))
+    # 17 modes with 2 spin levels: 2^4 commutators of 34^4 entries fit, 18 modes do not
+    parse_scenario(_algebra_scenario(17, 2))
+    with pytest.raises(ScenarioValidationError, match="space: the algebra analysis takes"):
+        parse_scenario(_algebra_scenario(18, 2))
 
 
 def test_random_scenarios_require_seed():

@@ -10,8 +10,8 @@ from spinsep.entanglement import (
     SEPARABLE,
     negativity,
     partial_transpose,
-    ppt_classification,
     schmidt,
+    separability,
     von_neumann_entropy,
 )
 from spinsep.linalg import kron
@@ -21,6 +21,7 @@ from oracles import (
     entropy_of_every_eigenvalue,
     is_separable_pure,
     partial_transpose_by_loops,
+    partial_transpose_left_by_loops,
     rand_density,
     rand_unit,
 )
@@ -125,7 +126,7 @@ def test_entropy_matches_schmidt_marginals():
 def test_partial_transpose_matches_loop_oracle():
     rng = np.random.default_rng(74)
     rho = rand_density(rng, 6)
-    got = partial_transpose(rho, 2, 3, side="right")
+    got = partial_transpose(rho, 2, 3)
     assert np.allclose(got, partial_transpose_by_loops(rho, 2, 3), atol=0)
 
 
@@ -148,8 +149,8 @@ def test_negativity_side_invariance():
     rng = np.random.default_rng(76)
     for _ in range(5):
         rho = rand_density(rng, 6)
-        left = partial_transpose(rho, 2, 3, side="left")
-        right = partial_transpose(rho, 2, 3, side="right")
+        left = partial_transpose_left_by_loops(rho, 2, 3)
+        right = partial_transpose(rho, 2, 3)
         assert np.allclose(
             np.linalg.eigvalsh(left), np.linalg.eigvalsh(right), atol=1e-10
         )
@@ -164,13 +165,17 @@ def test_is_separable_pure():
     assert is_separable_pure(kron(xi, eta), 2, 2)
 
 
+def _verdict(rho, d_left, d_right):
+    return separability(negativity(rho, d_left, d_right), d_left, d_right)
+
+
 def test_ppt_classification_regimes():
-    assert ppt_classification(_dyad(SINGLET), 2, 2) == ENTANGLED
-    assert ppt_classification(np.eye(4) / 4, 2, 2) == SEPARABLE
-    assert ppt_classification(np.eye(6) / 6, 2, 3) == SEPARABLE
+    assert _verdict(_dyad(SINGLET), 2, 2) == ENTANGLED
+    assert _verdict(np.eye(4) / 4, 2, 2) == SEPARABLE
+    assert _verdict(np.eye(6) / 6, 2, 3) == SEPARABLE
     # beyond 2x2 / 2x3: a PPT verdict is inconclusive
-    assert ppt_classification(np.eye(9) / 9, 3, 3) == PPT_INCONCLUSIVE
+    assert _verdict(np.eye(9) / 9, 3, 3) == PPT_INCONCLUSIVE
     rng = np.random.default_rng(78)
     psi = rand_unit(rng, 2)
     big_product = kron(_dyad(psi), np.eye(4) / 4)
-    assert ppt_classification(big_product, 2, 4) == PPT_INCONCLUSIVE
+    assert _verdict(big_product, 2, 4) == PPT_INCONCLUSIVE

@@ -49,6 +49,9 @@ MOVED_BUILDERS = (
     "perm_inverse",
     "local_generator",
     "reduced_spin_closed_form",
+    "permute_factors",
+    "overlap",
+    "ppt_classification",
 )
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "src" / "spinsep" / "scenarios"
 
@@ -161,12 +164,12 @@ def test_exchange_character_matches_dense_symmetrizers(n, dim):
         pair = symmetrizer(2, dim, Parity.BOSE) @ rand_unit(rng, dim**2)
         candidates["partial"] = np.kron(pair, rand_unit(rng, dim ** (n - 2)))
     for name, vec in candidates.items():
-        assert exchange_character(vec, n, dim) == _label_by_dense_symmetrizers(vec, n, dim), name
+        assert exchange_character(vec, n) == _label_by_dense_symmetrizers(vec, n, dim), name
     if n > 1:
-        assert exchange_character(candidates["generic"], n, dim) == NO_SYMMETRY
-        assert exchange_character(candidates["bose"], n, dim) == SYMMETRIC
+        assert exchange_character(candidates["generic"], n) == NO_SYMMETRY
+        assert exchange_character(candidates["bose"], n) == SYMMETRIC
     if n <= dim:
-        assert exchange_character(candidates["fermi"], n, dim) == ANTISYMMETRIC
+        assert exchange_character(candidates["fermi"], n) == ANTISYMMETRIC
 
 
 def _rotated_projections(rng, d_l, relation):

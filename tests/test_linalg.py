@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsep.linalg import (
-    check_density_matrix,
-    kron,
-    normalize,
-    permute_factors,
-)
+from spinsep.linalg import check_density_matrix, kron, normalize
 
 from oracles import (
     hermitian_spectrum,
@@ -14,6 +9,7 @@ from oracles import (
     partial_trace,
     partial_trace_by_loops,
     perm_unitary,
+    permute_factors,
     rand_hermitian,
     rand_matrix,
     rand_projection,

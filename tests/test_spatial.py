@@ -6,10 +6,11 @@ from spinsep.spatial import (
     SpatialRegion,
     Wavefunction,
     mode_wavefunction,
-    overlap,
     projector,
     wavefunction,
 )
+
+from oracles import overlap
 
 
 def test_space_spec_dimensions():

@@ -173,7 +173,7 @@ def test_n_particle_slater_norm_and_exclusion():
     factors = [_factor(k, 3, [1, 0]) for k in range(3)]
     vec, raw_norm = n_particle_localized(factors, Parity.FERMI)
     assert abs(raw_norm - 1.0) < 1e-12  # orthonormal factors: Gram determinant 1
-    assert exchange_character(vec, 3, 6) == ANTISYMMETRIC
+    assert exchange_character(vec, 3) == ANTISYMMETRIC
     with pytest.raises(ZeroStateError):
         n_particle_localized([factors[0], factors[0], factors[2]], Parity.FERMI)
 
@@ -331,7 +331,7 @@ def test_subspace_state_shared_mode():
     spec = SpaceSpec(num_modes=2, spin_dim=2, particles=2)
     singlet = np.array([0, 1, -1, 0], complex)
     st = subspace_state(SubspaceKind.SHARED_SPATIAL, [1, 0], singlet, spec)
-    assert exchange_character(st.vector, spec.particles, spec.one_particle_dim) == ANTISYMMETRIC
+    assert exchange_character(st.vector, spec.particles) == ANTISYMMETRIC
     # independent expectation: both particles in mode 0, singlet spins,
     # interleaved (mode1, spin1, mode2, spin2) index arithmetic by hand
     manual = np.zeros(16, complex)
@@ -348,7 +348,7 @@ def test_subspace_state_per_mode_spins_and_superposed_modes():
     singlet = np.array([0, 1, -1, 0], complex)
     per_mode = np.vstack([singlet, 2 * singlet])
     st = subspace_state(SubspaceKind.SHARED_SPATIAL, [1, 1], per_mode, spec)
-    assert exchange_character(st.vector, spec.particles, spec.one_particle_dim) == ANTISYMMETRIC
+    assert exchange_character(st.vector, spec.particles) == ANTISYMMETRIC
     assert abs(np.linalg.norm(st.vector) - 1) < 1e-12
 
 
@@ -357,7 +357,7 @@ def test_subspace_state_symmetric_spatial():
     st = subspace_state(
         SubspaceKind.SYMMETRIC_SPATIAL, [0, 1, 1, 0], [0, 1, -1, 0], spec
     )
-    assert exchange_character(st.vector, spec.particles, spec.one_particle_dim) == ANTISYMMETRIC
+    assert exchange_character(st.vector, spec.particles) == ANTISYMMETRIC
 
 
 def test_subspace_state_antisymmetric_spatial():
@@ -366,7 +366,7 @@ def test_subspace_state_antisymmetric_spatial():
         SubspaceKind.ANTISYMMETRIC_SPATIAL, [0, 1, -1, 0], [1, 0, 0, 0], spec
     )
     # globally still antisymmetric: the sign lives in the spatial part
-    assert exchange_character(st.vector, spec.particles, spec.one_particle_dim) == ANTISYMMETRIC
+    assert exchange_character(st.vector, spec.particles) == ANTISYMMETRIC
     proj = symmetrizer(2, 4, Parity.FERMI)
     assert frob(proj @ st.vector - st.vector) < 1e-12
 

@@ -127,11 +127,11 @@ def test_is_exchangeable_examples():
 
 def test_exchange_character():
     singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    assert exchange_character(singlet, 2, 2) == ANTISYMMETRIC
+    assert exchange_character(singlet, 2) == ANTISYMMETRIC
     e00 = np.array([1, 0, 0, 0], dtype=complex)
-    assert exchange_character(e00, 2, 2) == SYMMETRIC
+    assert exchange_character(e00, 2) == SYMMETRIC
     e01 = np.array([0, 1, 0, 0], dtype=complex)
-    assert exchange_character(e01, 2, 2) == NO_SYMMETRY
+    assert exchange_character(e01, 2) == NO_SYMMETRY
 
 
 @pytest.mark.parametrize("parity", list(Parity))
@@ -169,6 +169,6 @@ def test_symmetrization_never_sums_over_the_symmetric_group(monkeypatch):
         assert frob(symmetrize(vec, 6, 2, parity) - want[parity]) <= 1e-14
         pi_op = compress(op, 6, 2, parity)
         assert frob(compress(pi_op, 6, 2, parity) - pi_op) <= 1e-12
-    assert exchange_character(want[Parity.BOSE] / frob(want[Parity.BOSE]), 6, 2) == SYMMETRIC
-    assert exchange_character(anti / frob(anti), 6, 6) == ANTISYMMETRIC
-    assert exchange_character(vec, 6, 2) == NO_SYMMETRY
+    assert exchange_character(want[Parity.BOSE] / frob(want[Parity.BOSE]), 6) == SYMMETRIC
+    assert exchange_character(anti / frob(anti), 6) == ANTISYMMETRIC
+    assert exchange_character(vec, 6) == NO_SYMMETRY
